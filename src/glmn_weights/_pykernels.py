@@ -1,7 +1,7 @@
 """Pure-Python scan kernels: the fallback backend for the exhaustive
 verification loops.
 
-Mirrors the API and failure payloads of the compiled extension exactly.
+Mirrors the compiled extension's scan_* API and failure payloads exactly.
 Every per-weight operation is routed through the public modules (looked up
 at call time), so the harness exercises the same code the library exposes
 and the test suite can substitute deliberately broken variants.
@@ -9,50 +9,12 @@ and the test suite can substitute deliberately broken variants.
 
 from __future__ import annotations
 
-from itertools import product
-
 from . import classify, serganova
 from .classify import GroupConvention
-from .core import Modulus, SuperRank, Weight, congruent_zero
+from .core import Modulus, SuperRank, box_weights, congruent_zero
 from .serganova import StepOrder
 
 name = "pure"
-
-
-def _weights(M, N, lo, hi):
-    for coords in product(range(lo, hi + 1), repeat=M + N):
-        yield Weight(coords[:M], coords[M:])
-
-
-def forward_raw(lam, theta, p, steps):
-    """Transform without trace: plain tuples in, plain tuples out."""
-    rank = SuperRank(len(lam), len(theta))
-    order = StepOrder(rank.M, steps)
-    out, _ = serganova.forward(Weight(lam, theta), Modulus(p), order, rank)
-    return out.lam, out.theta
-
-
-def inverse_raw(lam, theta, p, steps):
-    rank = SuperRank(len(lam), len(theta))
-    order = StepOrder(rank.M, steps)
-    out, _ = serganova.inverse(Weight(lam, theta), Modulus(p), order, rank)
-    return out.lam, out.theta
-
-
-def is_dominant_raw(lam, theta):
-    rank = SuperRank(len(lam), len(theta))
-    return classify.is_standard_dominant(Weight(lam, theta), rank)
-
-
-def is_mixed_raw(lam, theta, p):
-    rank = SuperRank(len(lam), len(theta))
-    return classify.is_mixed_highest_weight(Weight(lam, theta), rank, Modulus(p))
-
-
-def is_relevant_raw(lam, theta, p, increasing):
-    rank = SuperRank(len(lam), len(theta))
-    conv = GroupConvention.UMINUS if increasing else GroupConvention.UPLUS
-    return classify.is_relevant_orbit(Weight(lam, theta), rank, Modulus(p), conv)
 
 
 def scan_image(M, N, p, lo, hi, steps, failure_cap):
@@ -69,7 +31,7 @@ def scan_image(M, N, p, lo, hi, steps, failure_cap):
         if len(failures) < failure_cap:
             failures.append((kind, w.lam, w.theta) + extra)
 
-    for w in _weights(M, N, lo, hi):
+    for w in box_weights(M, N, lo, hi):
         if classify.is_standard_dominant(w, rank):
             total += 1
             m, _ = serganova.forward(w, mod, order, rank)
@@ -98,7 +60,7 @@ def scan_theorem(M, N, p, lo, hi, steps, failure_cap):
     order = StepOrder(M, steps)
     total = 0
     failures = []
-    for w in _weights(M, N, lo, hi):
+    for w in box_weights(M, N, lo, hi):
         total += 1
         pred = classify.is_relevant_orbit(w, rank, mod, GroupConvention.UPLUS)
         a, _ = serganova.inverse(w, mod, order, rank)
@@ -121,7 +83,7 @@ def scan_order(M, N, p, lo, hi, ref_steps, orders, failure_cap):
     step_orders = [StepOrder(M, s) for s in orders]
     total = 0
     failures = []
-    for w in _weights(M, N, lo, hi):
+    for w in box_weights(M, N, lo, hi):
         if not classify.is_standard_dominant(w, rank):
             continue
         ref, _ = serganova.forward(w, mod, ref_order, rank)
@@ -154,7 +116,7 @@ def scan_trace(M, N, p, lo, hi, steps_v1, steps_v2, failure_cap):
     def down(seq):
         return all(seq[a] >= seq[a + 1] for a in range(len(seq) - 1))
 
-    for w in _weights(M, N, lo, hi):
+    for w in box_weights(M, N, lo, hi):
         if not classify.is_standard_dominant(w, rank):
             continue
         total += 1

@@ -12,7 +12,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
 
 from . import oracle
 from .classify import (
@@ -31,26 +30,6 @@ EXIT_OK = 0
 EXIT_FAILURES = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
-
-
-@dataclass
-class RunConfig:
-    command: str
-    rank: SuperRank
-    p: Modulus | None = None
-    convention: GroupConvention = GroupConvention.UPLUS
-    direction: str = "forward"
-    order: StepOrder | None = None
-    omega: BorelWord | None = None
-    box: Box | None = None
-    checks: tuple[str, ...] = ()
-    fmt: str = "jsonl"
-    trace: bool = False
-    filter_name: str = "all"
-    cap: int = oracle.DEFAULT_EXTENSION_CAP
-    limit: int = oracle.DEFAULT_LIMIT
-    failure_cap: int = oracle.DEFAULT_FAILURE_CAP
-    errors: list[str] = field(default_factory=list)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -168,7 +147,7 @@ def _parse_order(spec: str, M: int) -> StepOrder:
             raise ValidationError(f"order file {path!r} is not valid JSON: {exc}") from exc
         if not isinstance(data, list):
             raise ValidationError(f"order file {path!r} must hold a JSON array of [i, j] pairs")
-        return StepOrder(M, tuple(tuple(pair) for pair in data))
+        return StepOrder(M, tuple(data))
     raise ValidationError(f"order must be v1, v2, or file:PATH, got {spec!r}")
 
 
@@ -187,50 +166,34 @@ def _parse_omega(spec: str, rank: SuperRank) -> BorelWord:
     return w
 
 
-def parse_args(argv: list[str]) -> RunConfig:
+def parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse and fully validate argv; all validation failures are collected
-    and reported together."""
+    and reported together.  The validated rank, p, box, order, omega, checks
+    and convention objects are set on the returned namespace."""
     ns = _build_parser().parse_args(_merge_box_values(argv))
     errors: list[str] = []
 
-    rank = None
-    try:
-        rank = SuperRank(ns.M, ns.N)
-    except ValidationError as exc:
-        errors.append(str(exc))
-
-    p = None
-    if hasattr(ns, "p"):
+    def validated(build, *args):
         try:
-            p = Modulus(ns.p)
+            return build(*args)
         except ValidationError as exc:
             errors.append(str(exc))
+            return None
 
-    box = None
-    if getattr(ns, "box", None) is not None:
-        try:
-            box = _parse_box(ns.box)
-        except ValidationError as exc:
-            errors.append(str(exc))
-
-    order = None
-    if ns.command == "transform" and rank is not None:
-        try:
-            order = _parse_order(ns.order, rank.M)
-        except ValidationError as exc:
-            errors.append(str(exc))
-
-    omega = None
-    if ns.command == "roots" and rank is not None:
-        try:
-            omega = _parse_omega(ns.omega, rank)
-        except ValidationError as exc:
-            errors.append(str(exc))
-
-    checks: tuple[str, ...] = ()
-    if ns.command == "verify":
-        checks = oracle.CHECK_NAMES if ns.check == "all" else (ns.check,)
-        if p is not None and p.p == 0 and "theorem" in checks:
+    ns.rank = validated(SuperRank, ns.M, ns.N)
+    if "p" in ns:
+        ns.p = validated(Modulus, ns.p)
+    if "box" in ns:
+        ns.box = validated(_parse_box, ns.box)
+    if "order" in ns and ns.rank is not None:
+        ns.order = validated(_parse_order, ns.order, ns.rank.M)
+    if "omega" in ns and ns.rank is not None:
+        ns.omega = validated(_parse_omega, ns.omega, ns.rank)
+    if "convention" in ns:
+        ns.convention = GroupConvention(ns.convention)
+    if "check" in ns:
+        ns.checks = oracle.CHECK_NAMES if ns.check == "all" else (ns.check,)
+        if ns.p is not None and ns.p.p == 0 and "theorem" in ns.checks:
             errors.append(
                 "the theorem check requires a prime modulus; "
                 "select --check image/order/trace for p=0"
@@ -238,71 +201,50 @@ def parse_args(argv: list[str]) -> RunConfig:
 
     if errors:
         raise ValidationError("; ".join(errors))
-    assert rank is not None
-    return RunConfig(
-        command=ns.command,
-        rank=rank,
-        p=p,
-        convention=GroupConvention(getattr(ns, "convention", "uplus")),
-        direction=getattr(ns, "direction", "forward"),
-        order=order,
-        omega=omega,
-        box=box,
-        checks=checks,
-        fmt=getattr(ns, "fmt", "jsonl"),
-        trace=getattr(ns, "trace", False),
-        filter_name=getattr(ns, "filter_name", "all"),
-        cap=getattr(ns, "cap", oracle.DEFAULT_EXTENSION_CAP),
-        limit=getattr(ns, "limit", oracle.DEFAULT_LIMIT),
-        failure_cap=getattr(ns, "failure_cap", oracle.DEFAULT_FAILURE_CAP),
-    )
+    return ns
 
 
-def _input_weights(fin, rank, ferr):
-    """Yield (lineno, weight) for each stdin line; report bad lines and keep
-    going.  Yields (lineno, None) for a bad line so callers can track it."""
-    for lineno, line in enumerate(fin, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            print(f"line {lineno}: invalid JSON: {exc}", file=ferr)
-            yield lineno, None
-            continue
-        try:
-            yield lineno, Weight.from_json_dict(obj, rank)
-        except ValidationError as exc:
-            print(f"line {lineno}: {exc}", file=ferr)
-            yield lineno, None
+def _write(fmt, objs, fout, csv_columns=None, csv_row=None):
+    """Write output objects as JSONL (default), one JSON array, or CSV with
+    a header row before the first object."""
+    if fmt == "jsonl":
+        for obj in objs:
+            print(json.dumps(obj), file=fout)
+    elif fmt == "json":
+        print(json.dumps(list(objs)), file=fout)
+    else:
+        writer = csv.writer(fout, lineterminator="\n")
+        for n, obj in enumerate(objs):
+            if n == 0:
+                writer.writerow(csv_columns)
+            writer.writerow(csv_row(obj))
 
 
-class _Emitter:
-    """Writes output objects as JSONL (default), a JSON array, or CSV."""
+def _stream(args, fin, fout, ferr, convert, **csv_spec):
+    """The stdin loop of transform, classify and orbit-rep: read one JSON
+    weight per line, write convert(weight) for each valid one, and report
+    each bad line on ferr and keep going.  Exits 1 if any line was bad."""
+    bad_lines = []
 
-    def __init__(self, fmt, fout, csv_columns=None, csv_row=None):
-        self.fmt = fmt
-        self.fout = fout
-        self.csv_columns = csv_columns
-        self.csv_row = csv_row
-        self.collected = []
-        self.writer = None
+    def outputs():
+        for lineno, line in enumerate(fin, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                w = Weight.from_json_dict(json.loads(line), args.rank)
+            except json.JSONDecodeError as exc:
+                error = f"invalid JSON: {exc}"
+            except ValidationError as exc:
+                error = str(exc)
+            else:
+                yield convert(w)
+                continue
+            print(f"line {lineno}: {error}", file=ferr)
+            bad_lines.append(lineno)
 
-    def emit(self, obj):
-        if self.fmt == "jsonl":
-            print(json.dumps(obj), file=self.fout)
-        elif self.fmt == "json":
-            self.collected.append(obj)
-        else:
-            if self.writer is None:
-                self.writer = csv.writer(self.fout, lineterminator="\n")
-                self.writer.writerow(self.csv_columns)
-            self.writer.writerow(self.csv_row(obj))
-
-    def close(self):
-        if self.fmt == "json":
-            print(json.dumps(self.collected), file=self.fout)
+    _write(args.fmt, outputs(), fout, **csv_spec)
+    return EXIT_FAILURES if bad_lines else EXIT_OK
 
 
 def _weight_columns(rank):
@@ -324,28 +266,36 @@ def _trace_json(tr):
     ]
 
 
-def _run_transform(config, fin, fout, ferr):
-    fn = forward if config.direction == "forward" else inverse
-    emitter = _Emitter(config.fmt, fout)
-    had_errors = False
-    for _, w in _input_weights(fin, config.rank, ferr):
-        if w is None:
-            had_errors = True
-            continue
-        out, tr = fn(w, config.p, config.order, config.rank)
+def _run_transform(args, fin, fout, ferr):
+    fn = forward if args.direction == "forward" else inverse
+
+    def convert(w):
+        out, tr = fn(w, args.p, args.order, args.rank)
         obj = out.to_json_dict()
-        if config.trace:
+        if args.trace:
             obj["trace"] = _trace_json(tr)
-        emitter.emit(obj)
-    emitter.close()
-    return EXIT_FAILURES if had_errors else EXIT_OK
+        return obj
+
+    return _stream(args, fin, fout, ferr, convert)
 
 
-def _run_classify(config, fin, fout, ferr):
-    rank, p = config.rank, config.p
-    emitter = _Emitter(
-        config.fmt,
+def _run_classify(args, fin, fout, ferr):
+    rank, p = args.rank, args.p
+
+    def convert(w):
+        return {
+            "weight": w.to_json_dict(),
+            "standard_dominant": is_standard_dominant(w, rank),
+            "mixed_highest_weight": is_mixed_highest_weight(w, rank, p),
+            "relevant": is_relevant_orbit(w, rank, p, args.convention),
+        }
+
+    return _stream(
+        args,
+        fin,
         fout,
+        ferr,
+        convert,
         csv_columns=_weight_columns(rank)
         + ["standard_dominant", "mixed_highest_weight", "relevant"],
         csv_row=lambda obj: list(obj["weight"]["lambda"])
@@ -356,42 +306,21 @@ def _run_classify(config, fin, fout, ferr):
             str(obj["relevant"]).lower(),
         ],
     )
-    had_errors = False
-    for _, w in _input_weights(fin, rank, ferr):
-        if w is None:
-            had_errors = True
-            continue
-        emitter.emit(
-            {
-                "weight": w.to_json_dict(),
-                "standard_dominant": is_standard_dominant(w, rank),
-                "mixed_highest_weight": is_mixed_highest_weight(w, rank, p),
-                "relevant": is_relevant_orbit(w, rank, p, config.convention),
-            }
-        )
-    emitter.close()
-    return EXIT_FAILURES if had_errors else EXIT_OK
 
 
-def _run_orbit_rep(config, fin, fout, ferr):
-    emitter = _Emitter(config.fmt, fout)
-    had_errors = False
-    for _, w in _input_weights(fin, config.rank, ferr):
-        if w is None:
-            had_errors = True
-            continue
-        emitter.emit(orbit_representative(w, config.rank).to_json_dict())
-    emitter.close()
-    return EXIT_FAILURES if had_errors else EXIT_OK
+def _run_orbit_rep(args, fin, fout, ferr):
+    return _stream(
+        args, fin, fout, ferr, lambda w: orbit_representative(w, args.rank).to_json_dict()
+    )
 
 
-def _run_roots(config, fin, fout, ferr):
-    rank = config.rank
+def _run_roots(args, fin, fout, ferr):
+    rank = args.rank
     obj = {
         "M": rank.M,
         "N": rank.N,
-        "omega": list(config.omega.word),
-        "positive_roots": [list(r) for r in sorted(positive_roots(config.omega, rank))],
+        "omega": list(args.omega.word),
+        "positive_roots": [list(r) for r in sorted(positive_roots(args.omega, rank))],
         "excess_pairs": [list(pq) for pq in excess_pairs(rank)],
         "hasse": [[list(x), list(y)] for x, y in hasse_edges(rank.M)],
     }
@@ -399,45 +328,43 @@ def _run_roots(config, fin, fout, ferr):
     return EXIT_OK
 
 
-def _run_enumerate(config, fin, fout, ferr):
-    rank, p = config.rank, config.p
-    predicate = None
-    if config.filter_name == "dominant":
-        predicate = lambda w: is_standard_dominant(w, rank)
-    elif config.filter_name == "mixed":
-        predicate = lambda w: is_mixed_highest_weight(w, rank, p)
-    elif config.filter_name == "relevant":
-        predicate = lambda w: is_relevant_orbit(w, rank, p, config.convention)
-    emitter = _Emitter(
-        config.fmt,
+def _run_enumerate(args, fin, fout, ferr):
+    rank, p = args.rank, args.p
+    predicate = {
+        "all": None,
+        "dominant": lambda w: is_standard_dominant(w, rank),
+        "mixed": lambda w: is_mixed_highest_weight(w, rank, p),
+        "relevant": lambda w: is_relevant_orbit(w, rank, p, args.convention),
+    }[args.filter_name]
+    weights = oracle.enumerate_box(rank, args.box, predicate, limit=args.limit)
+    _write(
+        args.fmt,
+        (w.to_json_dict() for w in weights),
         fout,
         csv_columns=_weight_columns(rank),
         csv_row=lambda obj: list(obj["lambda"]) + list(obj["theta"]),
     )
-    for w in oracle.enumerate_box(rank, config.box, predicate, limit=config.limit):
-        emitter.emit(w.to_json_dict())
-    emitter.close()
     return EXIT_OK
 
 
-def _run_verify(config, fin, fout, ferr):
+def _run_verify(args, fin, fout, ferr):
     all_passed = True
-    for name in config.checks:
+    for name in args.checks:
         report = oracle.run_check(
             name,
-            config.rank,
-            config.p,
-            config.box,
-            cap=config.cap,
-            limit=config.limit,
-            failure_cap=config.failure_cap,
+            args.rank,
+            args.p,
+            args.box,
+            cap=args.cap,
+            limit=args.limit,
+            failure_cap=args.failure_cap,
         )
         obj = report.to_json_dict()
         obj["params"] = {
-            "M": config.rank.M,
-            "N": config.rank.N,
-            "p": config.p.p,
-            "box": [config.box.lo, config.box.hi],
+            "M": args.rank.M,
+            "N": args.rank.N,
+            "p": args.p.p,
+            "box": [args.box.lo, args.box.hi],
         }
         print(json.dumps(obj), file=fout)
         all_passed = all_passed and report.passed
@@ -454,9 +381,9 @@ _RUNNERS = {
 }
 
 
-def run(config: RunConfig, fin, fout, ferr) -> int:
-    """Dispatch a validated config against the given streams."""
-    return _RUNNERS[config.command](config, fin, fout, ferr)
+def run(args: argparse.Namespace, fin, fout, ferr) -> int:
+    """Dispatch the namespace from parse_args against the given streams."""
+    return _RUNNERS[args.command](args, fin, fout, ferr)
 
 
 def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
@@ -465,14 +392,14 @@ def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     fout = stdout if stdout is not None else sys.stdout
     ferr = stderr if stderr is not None else sys.stderr
     try:
-        config = parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as exc:  # argparse usage error or --help
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except ValidationError as exc:
         print(f"error: {exc}", file=ferr)
         return EXIT_USAGE
     try:
-        return run(config, fin, fout, ferr)
+        return run(args, fin, fout, ferr)
     except (ValidationError, OverflowError) as exc:
         print(f"error: {exc}", file=ferr)
         return EXIT_USAGE

@@ -10,6 +10,7 @@ non-root-of-unity regime), a prime p >= 2 means vanishing mod p.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 
 class ValidationError(ValueError):
@@ -28,16 +29,33 @@ class InternalConsistencyError(RuntimeError):
     """A structural identity the library relies on failed to hold."""
 
 
+# Miller-Rabin with the first thirteen prime bases is exact below this bound
+# (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for n < _MR_BOUND."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -103,6 +121,13 @@ class Weight:
         return w
 
 
+def box_weights(M: int, N: int, lo: int, hi: int):
+    """Yield every weight of shape (M|N) with all coordinates in [lo, hi],
+    in lexicographic order."""
+    for coords in product(range(lo, hi + 1), repeat=M + N):
+        yield Weight(coords[:M], coords[M:])
+
+
 @dataclass(frozen=True)
 class Modulus:
     """Congruence modulus: 0 tests exact vanishing, a prime p tests mod p."""
@@ -114,6 +139,10 @@ class Modulus:
             raise ValidationError(f"modulus must be an integer, got {self.p!r}")
         if self.p < 0:
             raise ValidationError(f"modulus must be nonnegative, got {self.p}")
+        if self.p >= _MR_BOUND:
+            raise ValidationError(
+                f"modulus must be below {_MR_BOUND}, the bound of the exact primality test"
+            )
         if self.p != 0 and not _is_prime(self.p):
             raise ValidationError(f"modulus must be 0 or a prime, got {self.p}")
 

@@ -2,7 +2,7 @@
 
 The compiled extension is used when built; the pure-Python twin otherwise.
 Set GLMN_WEIGHTS_PURE=1 to force the pure backend (useful for debugging and
-for the backend benchmark).
+for benchmarking).
 """
 
 from __future__ import annotations

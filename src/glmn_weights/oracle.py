@@ -12,10 +12,9 @@ stays flat; failure lists are capped without affecting the verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from . import kernels
-from .core import CapacityError, Modulus, SuperRank, ValidationError, Weight
+from .core import CapacityError, Modulus, SuperRank, ValidationError, box_weights
 from .serganova import StepOrder, all_linear_extensions, order_v1, order_v2
 
 DEFAULT_LIMIT = 10_000_000
@@ -81,18 +80,12 @@ def enumerate_box(rank: SuperRank, box: Box, predicate=None, limit: int = DEFAUL
     """Yield every weight with all coordinates in [lo, hi], lexicographically,
     optionally filtered by a predicate on the weight."""
     _require_within_limit(rank, box, limit)
-
-    def gen():
-        for coords in product(range(box.lo, box.hi + 1), repeat=rank.total):
-            w = Weight(coords[: rank.M], coords[rank.M :])
-            if predicate is None or predicate(w):
-                yield w
-
-    return gen()
+    weights = box_weights(rank.M, rank.N, box.lo, box.hi)
+    return weights if predicate is None else filter(predicate, weights)
 
 
 def _plain_steps(order: StepOrder) -> tuple[tuple[int, int], ...]:
-    return tuple((int(s.i), int(s.j)) for s in order.steps)
+    return tuple((s.i, s.j) for s in order.steps)
 
 
 def _weight_dict(lam, theta) -> dict:

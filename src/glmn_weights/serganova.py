@@ -43,9 +43,11 @@ class StepOrder:
 
     def __post_init__(self):
         try:
-            steps = tuple(PairIndex(int(i), int(j)) for (i, j) in self.steps)
+            steps = tuple(PairIndex(i, j) for (i, j) in self.steps)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"steps must be (i, j) pairs: {exc}") from exc
+        if any(not isinstance(v, int) or isinstance(v, bool) for pair in steps for v in pair):
+            raise ValidationError(f"steps must be (i, j) pairs of integers, got {self.steps!r}")
         object.__setattr__(self, "steps", steps)
         expected = set(all_pairs(self.M))
         if set(steps) != expected or len(steps) != len(expected):

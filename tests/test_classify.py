@@ -1,5 +1,3 @@
-from itertools import product
-
 import pytest
 
 from glmn_weights.classify import (
@@ -9,16 +7,11 @@ from glmn_weights.classify import (
     is_standard_dominant,
     orbit_representative,
 )
-from glmn_weights.core import DimensionMismatch, Modulus, SuperRank, Weight
+from glmn_weights.core import DimensionMismatch, Modulus, SuperRank, Weight, box_weights
 
 
 def W(lam, theta):
     return Weight(tuple(lam), tuple(theta))
-
-
-def box_weights(M, N, lo, hi):
-    for coords in product(range(lo, hi + 1), repeat=M + N):
-        yield W(coords[:M], coords[M:])
 
 
 def test_standard_dominant_examples():

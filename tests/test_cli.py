@@ -80,6 +80,15 @@ def test_transform_rejects_invalid_order_file(tmp_path):
     )
     assert code == 2
     assert "linear extension" in err
+    # entries that are not pairs, or pairs that do not hold integers
+    for data in ([1, [1, 1]], [[1, 1, 1]], [[1.9, 1]], [[True, 1]], [["1", 1]]):
+        path.write_text(json.dumps(data))
+        code, _, err = invoke(
+            ["transform", "--M", "1", "--N", "2", "--p", "2", "--order", f"file:{path}"],
+            '{"lambda":[1],"theta":[0,0]}\n',
+        )
+        assert code == 2, data
+        assert err.startswith("error: steps must be (i, j) pairs"), (data, err)
 
 
 def test_classify_example():
@@ -201,6 +210,21 @@ def test_verify_all_checks_pass():
     assert all(r["passed"] for r in reports)
     assert all(r["failures"] == [] for r in reports)
     assert reports[0]["params"] == {"M": 1, "N": 2, "p": 2, "box": [-2, 2]}
+
+
+def test_defaulted_flags_match_their_defaults():
+    weight = '{"lambda":[1,0],"theta":[1,0,0]}\n'
+    base = ["--M", "2", "--N", "3", "--p", "3"]
+    trace = invoke(["transform", *base, "--trace"], weight)
+    assert trace == invoke(["transform", *base, "--trace", "--order", "v1"], weight)
+    assert trace != invoke(["transform", *base, "--trace", "--order", "v2"], weight)
+    assert invoke(["classify", *base], weight) == invoke(
+        ["classify", *base, "--convention", "uplus"], weight
+    )
+    box = ["enumerate", "--M", "1", "--N", "2", "--box", "-1:1"]
+    assert invoke(box) == invoke([*box, "--p", "0", "--filter", "all"])
+    verify = ["verify", "--M", "1", "--N", "2", "--p", "2", "--box", "-1:1"]
+    assert invoke(verify) == invoke([*verify, "--check", "all", "--failure-cap", "20"])
 
 
 def test_verify_negative_box_with_space():

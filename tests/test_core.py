@@ -37,14 +37,18 @@ def test_congruent_zero_periodicity(a, p):
 
 
 def test_modulus_accepts_zero_and_primes():
-    for p in (0, 2, 3, 5, 7, 11, 13, 97):
+    for p in (0, 2, 3, 5, 7, 11, 13, 97, 2**61 - 1):
         assert Modulus(p).p == p
 
 
 def test_modulus_rejects_composites_and_negatives():
-    for p in (1, 4, 6, 8, 9, 15, -2, -7):
+    # 2047, 3215031751 and 318665857834031151167461 are strong pseudoprimes
+    # (to base 2, to bases 2..7, and to bases 2..37); 561 is a Carmichael number
+    for p in (1, 4, 6, 8, 9, 15, -2, -7, 2047, 561, 3215031751, 318665857834031151167461):
         with pytest.raises(ValidationError):
             Modulus(p)
+    with pytest.raises(ValidationError, match="below 3317044064679887385961981"):
+        Modulus(2**89 - 1)  # a prime beyond the exact range of the primality test
 
 
 def test_rank_validation():

@@ -1,6 +1,8 @@
-"""Parity between the compiled backend and the pure one, and backend
-selection.  The pure backend delegates to the public modules, so agreement
-here pins the compiled kernels to the reference implementation."""
+"""Parity between the compiled backend and the reference, and backend
+selection.  The compiled per-weight hooks are compared with the public
+transform and predicates directly; the compiled scans are compared with the
+pure backend, which delegates to the public modules, so agreement pins the
+compiled kernels to the reference implementation."""
 
 from itertools import product
 
@@ -8,8 +10,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from glmn_weights import kernels
-from glmn_weights.serganova import all_linear_extensions, order_v1, order_v2
+from glmn_weights import classify, kernels, serganova
+from glmn_weights.classify import GroupConvention
+from glmn_weights.core import Modulus, SuperRank, Weight
+from glmn_weights.serganova import StepOrder, all_linear_extensions, order_v1, order_v2
 
 needs_compiled = pytest.mark.skipif(
     not kernels.compiled_available(), reason="compiled backend not built"
@@ -33,35 +37,42 @@ def test_backend_selection(monkeypatch):
     assert kernels.active_backend() is not kernels.pure or not kernels.compiled_available()
 
 
+def assert_raw_transform_parity(lam, theta, p, steps):
+    """The compiled raw transforms agree with the reference ones."""
+    rank = SuperRank(len(lam), len(theta))
+    args = (Weight(lam, theta), Modulus(p), StepOrder(rank.M, steps), rank)
+    fwd, _ = serganova.forward(*args)
+    inv, _ = serganova.inverse(*args)
+    assert kernels.compiled.forward_raw(lam, theta, p, steps) == (fwd.lam, fwd.theta)
+    assert kernels.compiled.inverse_raw(lam, theta, p, steps) == (inv.lam, inv.theta)
+
+
 @needs_compiled
 def test_raw_transform_parity_on_box():
     s1 = steps_of(order_v1(2))
     for p in (0, 2, 3):
         for coords in product(range(-2, 3), repeat=5):
-            lam, theta = coords[:2], coords[2:]
-            assert kernels.compiled.forward_raw(lam, theta, p, s1) == kernels.pure.forward_raw(
-                lam, theta, p, s1
-            )
-            assert kernels.compiled.inverse_raw(lam, theta, p, s1) == kernels.pure.inverse_raw(
-                lam, theta, p, s1
-            )
+            assert_raw_transform_parity(coords[:2], coords[2:], p, s1)
 
 
 @needs_compiled
 def test_raw_predicate_parity_on_box():
+    rank = SuperRank(2, 3)
     for coords in product(range(-2, 3), repeat=5):
         lam, theta = coords[:2], coords[2:]
-        assert kernels.compiled.is_dominant_raw(lam, theta) == kernels.pure.is_dominant_raw(
-            lam, theta
+        w = Weight(lam, theta)
+        assert kernels.compiled.is_dominant_raw(lam, theta) == classify.is_standard_dominant(
+            w, rank
         )
         for p in (0, 2, 5):
-            assert kernels.compiled.is_mixed_raw(lam, theta, p) == kernels.pure.is_mixed_raw(
+            mod = Modulus(p)
+            assert kernels.compiled.is_mixed_raw(
                 lam, theta, p
-            )
-            for inc in (False, True):
+            ) == classify.is_mixed_highest_weight(w, rank, mod)
+            for inc, conv in ((True, GroupConvention.UMINUS), (False, GroupConvention.UPLUS)):
                 assert kernels.compiled.is_relevant_raw(
                     lam, theta, p, inc
-                ) == kernels.pure.is_relevant_raw(lam, theta, p, inc)
+                ) == classify.is_relevant_orbit(w, rank, mod, conv)
 
 
 @needs_compiled
@@ -71,13 +82,7 @@ def test_raw_predicate_parity_on_box():
     st.sampled_from([0, 2, 3, 7]),
 )
 def test_raw_transform_parity_hypothesis(lam, theta, p):
-    s = steps_of(order_v1(3))
-    assert kernels.compiled.forward_raw(lam, theta, p, s) == kernels.pure.forward_raw(
-        lam, theta, p, s
-    )
-    assert kernels.compiled.inverse_raw(lam, theta, p, s) == kernels.pure.inverse_raw(
-        lam, theta, p, s
-    )
+    assert_raw_transform_parity(lam, theta, p, steps_of(order_v1(3)))
 
 
 @needs_compiled

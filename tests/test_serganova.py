@@ -1,10 +1,17 @@
-from itertools import permutations, product
+from itertools import permutations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from glmn_weights.core import CapacityError, Modulus, SuperRank, ValidationError, Weight
+from glmn_weights.core import (
+    CapacityError,
+    Modulus,
+    SuperRank,
+    ValidationError,
+    Weight,
+    box_weights,
+)
 from glmn_weights.roots import PairIndex, all_pairs, pair_leq
 from glmn_weights.serganova import (
     Action,
@@ -20,11 +27,6 @@ from glmn_weights.serganova import (
 
 def W(lam, theta):
     return Weight(tuple(lam), tuple(theta))
-
-
-def box_weights(M, N, lo, hi):
-    for coords in product(range(lo, hi + 1), repeat=M + N):
-        yield W(coords[:M], coords[M:])
 
 
 def dominant(w):
@@ -80,6 +82,10 @@ def test_step_order_rejects_wrong_pair_sets():
         StepOrder(2, ((2, 1), (1, 1)))
     with pytest.raises(ValidationError):
         StepOrder(2, ((2, 1), (1, 1), (1, 2)))  # j > i
+    # entries that are not pairs of integers (bool excluded, as in Weight)
+    for steps in ((1, (1, 1)), ((1, 1, 1),), ((1.9, 1),), ((True, 1),), (("1", 1),)):
+        with pytest.raises(ValidationError):
+            StepOrder(1, steps)
 
 
 def test_all_linear_extensions_tiny():
