@@ -25,11 +25,23 @@ class GroupConvention(Enum):
 
 
 def _non_increasing(seq) -> bool:
-    return all(seq[k] >= seq[k + 1] for k in range(len(seq) - 1))
+    if seq:
+        prev = seq[0]
+        for v in seq:
+            if prev < v:
+                return False
+            prev = v
+    return True
 
 
 def _non_decreasing(seq) -> bool:
-    return all(seq[k] <= seq[k + 1] for k in range(len(seq) - 1))
+    if seq:
+        prev = seq[0]
+        for v in seq:
+            if prev > v:
+                return False
+            prev = v
+    return True
 
 
 def is_standard_dominant(w: Weight, rank: SuperRank) -> bool:

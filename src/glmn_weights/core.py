@@ -87,10 +87,13 @@ class Weight:
     theta: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", tuple(self.lam))
-        object.__setattr__(self, "theta", tuple(self.theta))
+        if type(self.lam) is not tuple:
+            object.__setattr__(self, "lam", tuple(self.lam))
+        if type(self.theta) is not tuple:
+            object.__setattr__(self, "theta", tuple(self.theta))
         for v in self.lam + self.theta:
-            if not isinstance(v, int) or isinstance(v, bool):
+            # exact ints take the fast test; int subclasses other than bool pass
+            if type(v) is not int and (not isinstance(v, int) or isinstance(v, bool)):
                 raise ValidationError(f"weight entries must be integers, got {v!r}")
 
     def matches(self, rank: SuperRank) -> bool:
@@ -119,6 +122,16 @@ class Weight:
         if rank is not None:
             w.require_rank(rank)
         return w
+
+
+def _valid_weight(lam: tuple[int, ...], theta: tuple[int, ...]) -> Weight:
+    """A Weight from tuples of ints computed from already-validated ones,
+    built without running the validation in __post_init__ again."""
+    w = object.__new__(Weight)
+    fields = w.__dict__
+    fields["lam"] = lam
+    fields["theta"] = theta
+    return w
 
 
 def box_weights(M: int, N: int, lo: int, hi: int):

@@ -7,10 +7,16 @@ step order chosen, the agreement of the orbit-relevance predicate with
 algorithmic membership, and the per-step trace invariants.  Enumeration is
 lexicographic and streaming, so reports are deterministic and memory use
 stays flat; failure lists are capped without affecting the verdict.
+
+The compiled backend computes in C long.  A box whose coordinates, moved by
+the transform and summed over a weight, could leave that range, or a
+modulus beyond it, is scanned by the pure backend instead; every report
+names the backend that ran.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 from . import kernels
@@ -20,6 +26,8 @@ from .serganova import StepOrder, all_linear_extensions, order_v1, order_v2
 DEFAULT_LIMIT = 10_000_000
 DEFAULT_FAILURE_CAP = 20
 DEFAULT_EXTENSION_CAP = 10_000
+# Magnitudes the compiled backend must keep strictly below (C long).
+_C_LONG_LIMIT = 2 ** (8 * struct.calcsize("l") - 1)
 
 
 @dataclass(frozen=True)
@@ -48,6 +56,7 @@ class VerificationReport:
     check_name: str
     total: int
     failures: tuple[dict, ...]
+    backend: str  # the scan backend that ran: "pure" or "compiled"
 
     @property
     def passed(self) -> bool:
@@ -59,6 +68,7 @@ class VerificationReport:
             "total": self.total,
             "failures": list(self.failures),
             "passed": self.passed,
+            "backend": self.backend,
         }
 
 
@@ -82,6 +92,21 @@ def enumerate_box(rank: SuperRank, box: Box, predicate=None, limit: int = DEFAUL
     _require_within_limit(rank, box, limit)
     weights = box_weights(rank.M, rank.N, box.lo, box.hi)
     return weights if predicate is None else filter(predicate, weights)
+
+
+def _scan_backend(backend, rank: SuperRank, p: Modulus, box: Box):
+    """The backend to scan with: the one given, else the active one, unless
+    the box or the modulus could overflow C long, which only the pure
+    backend can take.  The bound covers the odometer step past hi, the
+    transform's moves of up to M units, the diagonal sums and the total
+    sum of a weight."""
+    be = backend if backend is not None else kernels.active_backend()
+    if be is kernels.pure:
+        return be
+    reach = rank.total * (max(abs(box.lo), abs(box.hi)) + rank.M + 1)
+    if reach >= _C_LONG_LIMIT or p.p >= _C_LONG_LIMIT:
+        return kernels.pure
+    return be
 
 
 def _plain_steps(order: StepOrder) -> tuple[tuple[int, int], ...]:
@@ -109,13 +134,13 @@ def verify_image(
     (every mixed weight pulls back to a dominant one that maps forward onto
     it) because forward shifts entries and can leave the box.
     """
-    be = backend if backend is not None else kernels.active_backend()
+    be = _scan_backend(backend, rank, p, box)
     _require_within_limit(rank, box, limit)
     _require_cap(failure_cap)
     steps = _plain_steps(order_v1(rank.M))
     total, fails = be.scan_image(rank.M, rank.N, p.p, box.lo, box.hi, steps, failure_cap)
     failures = tuple({"kind": f[0], "weight": _weight_dict(f[1], f[2])} for f in fails)
-    return VerificationReport("image", total, failures)
+    return VerificationReport("image", total, failures, be.name)
 
 
 def verify_order_invariance(
@@ -130,7 +155,7 @@ def verify_order_invariance(
 ) -> VerificationReport:
     """Check that every linear extension of the pair order transforms each
     dominant weight in the box to the same result as the column order."""
-    be = backend if backend is not None else kernels.active_backend()
+    be = _scan_backend(backend, rank, p, box)
     _require_within_limit(rank, box, limit)
     _require_cap(failure_cap)
     extensions = all_linear_extensions(rank.M, cap)
@@ -145,7 +170,7 @@ def verify_order_invariance(
         }
         for f in fails
     )
-    return VerificationReport("order", total, failures)
+    return VerificationReport("order", total, failures, be.name)
 
 
 def verify_theorem(
@@ -162,7 +187,7 @@ def verify_theorem(
     image of the dominant set.  Requires a prime modulus."""
     if p.p == 0:
         raise ValidationError("the theorem check requires a prime modulus, got p=0")
-    be = backend if backend is not None else kernels.active_backend()
+    be = _scan_backend(backend, rank, p, box)
     _require_within_limit(rank, box, limit)
     _require_cap(failure_cap)
     steps = _plain_steps(order_v1(rank.M))
@@ -176,7 +201,7 @@ def verify_theorem(
         }
         for f in fails
     )
-    return VerificationReport("theorem", total, failures)
+    return VerificationReport("theorem", total, failures, be.name)
 
 
 def verify_trace_invariants(
@@ -191,7 +216,7 @@ def verify_trace_invariants(
     """Check the per-step invariants of the transform on every dominant
     weight in the box (monotone intermediate states, sum conservation,
     congruence memory, untouched trailing theta entries)."""
-    be = backend if backend is not None else kernels.active_backend()
+    be = _scan_backend(backend, rank, p, box)
     _require_within_limit(rank, box, limit)
     _require_cap(failure_cap)
     s1 = _plain_steps(order_v1(rank.M))
@@ -200,7 +225,7 @@ def verify_trace_invariants(
     failures = tuple(
         {"kind": f[0], "weight": _weight_dict(f[1], f[2]), "step": f[3]} for f in fails
     )
-    return VerificationReport("trace", total, failures)
+    return VerificationReport("trace", total, failures, be.name)
 
 
 CHECK_NAMES = ("image", "order", "theorem", "trace")

@@ -13,14 +13,28 @@ integer weights.
 
 Only theta entries 1..M can ever move (j <= i <= M), so theta_{M+1} and
 any trailing entries ride along unchanged.
+
+The transform core (`_apply`) works on two int lists and builds no
+intermediate weights.  A `Trace` stores only the input, the modulus and the
+order; its per-step records are computed on first read, by replaying the
+same core, so a caller that never reads them pays nothing for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
-from .core import CapacityError, Modulus, SuperRank, ValidationError, Weight, congruent_zero
+from .core import (
+    CapacityError,
+    Modulus,
+    SuperRank,
+    ValidationError,
+    Weight,
+    _valid_weight,
+    congruent_zero,
+)
 from .roots import PairIndex, all_pairs, pair_leq
 
 
@@ -77,9 +91,22 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class Trace:
+    """The run of one transform: its direction, the order used, and the
+    weight and modulus it started from.  `records` (one StepRecord per step)
+    is computed on first read by replaying the run, then cached."""
+
     direction: Direction
     order_used: StepOrder
-    records: tuple[StepRecord, ...]
+    start: Weight
+    p: Modulus
+
+    @cached_property
+    def records(self) -> tuple[StepRecord, ...]:
+        lam = list(self.start.lam)
+        theta = list(self.start.theta)
+        records: list[StepRecord] = []
+        _apply(lam, theta, self.p, self.order_used, self.direction, records)
+        return tuple(records)
 
 
 def order_v1(M: int) -> StepOrder:
@@ -147,19 +174,43 @@ def inverse(w: Weight, p: Modulus, order: StepOrder, rank: SuperRank) -> tuple[W
 def _run(w: Weight, p: Modulus, order: StepOrder, direction: Direction) -> tuple[Weight, Trace]:
     lam = list(w.lam)
     theta = list(w.theta)
-    fwd = direction is Direction.FORWARD
-    steps = order.steps if fwd else tuple(reversed(order.steps))
-    records = []
-    for k, pair in enumerate(steps, start=1):
-        li = pair.i - 1
-        tj = pair.j - 1
-        s = lam[li] + theta[tj]
-        if congruent_zero(s, p):
-            action = Action.NOOP
-        else:
-            action = Action.MOVE
-            d = -1 if fwd else 1
-            lam[li] += d
-            theta[tj] -= d
-        records.append(StepRecord(k, pair, action, s, Weight(tuple(lam), tuple(theta))))
-    return Weight(tuple(lam), tuple(theta)), Trace(direction, order, tuple(records))
+    _apply(lam, theta, p, order, direction)
+    return _valid_weight(tuple(lam), tuple(theta)), Trace(direction, order, w, p)
+
+
+def _apply(
+    lam: list[int],
+    theta: list[int],
+    p: Modulus,
+    order: StepOrder,
+    direction: Direction,
+    records: list[StepRecord] | None = None,
+) -> None:
+    """The transform core: run the steps of `order` on `lam` and `theta` in
+    place, in order for FORWARD and in reverse for INVERSE.
+
+    At pair (i, j) a nonvanishing lambda_i + theta_j moves one unit from
+    lambda_i to theta_j (FORWARD) or back (INVERSE).  With a `records` list,
+    one StepRecord per step is appended to it.
+    """
+    if direction is Direction.FORWARD:
+        steps, d = order.steps, 1
+    else:
+        steps, d = reversed(order.steps), -1
+    for pair in steps:
+        i, j = pair
+        s = lam[i - 1] + theta[j - 1]
+        move = not congruent_zero(s, p)
+        if move:
+            lam[i - 1] -= d
+            theta[j - 1] += d
+        if records is not None:
+            records.append(
+                StepRecord(
+                    len(records) + 1,
+                    pair,
+                    Action.MOVE if move else Action.NOOP,
+                    s,
+                    _valid_weight(tuple(lam), tuple(theta)),
+                )
+            )

@@ -19,6 +19,8 @@ def test_standard_dominant_examples():
     assert is_standard_dominant(W((2, 1), (3, 0, 0)), r)
     assert not is_standard_dominant(W((1, 2), (0, 0, 0)), r)
     assert is_standard_dominant(W((), (5,)), SuperRank(0, 1))
+    assert is_standard_dominant(W((), (5, 5)), SuperRank(0, 2))
+    assert is_standard_dominant(W((-4,), (0, -1)), SuperRank(1, 2))
 
 
 def test_mixed_highest_weight_examples():
@@ -26,6 +28,9 @@ def test_mixed_highest_weight_examples():
     assert is_mixed_highest_weight(W((1, 0), (1, 0, 0)), r, Modulus(2))
     assert not is_mixed_highest_weight(W((1, 1), (0, 0, 0)), r, Modulus(2))
     assert is_mixed_highest_weight(W((1,), (2, 2)), SuperRank(1, 2), Modulus(3))
+    # M = 0: lambda is empty and no diagonal sum is tested
+    assert is_mixed_highest_weight(W((), (7,)), SuperRank(0, 1), Modulus(2))
+    assert is_mixed_highest_weight(W((), (1, 1)), SuperRank(0, 2), Modulus(0))
 
 
 def test_relevant_orbit_examples():
@@ -34,6 +39,12 @@ def test_relevant_orbit_examples():
     assert is_relevant_orbit(W((1, 0), (1, 0, 0)), r, Modulus(2), GroupConvention.UPLUS)
     assert is_relevant_orbit(W((0, 1), (0, 0, 1)), r, Modulus(0), GroupConvention.UMINUS)
     assert not is_relevant_orbit(W((1, 2), (1, 1, 2)), r, Modulus(0), GroupConvention.UMINUS)
+    # chains of length 0 and 1 hold under both conventions
+    for convention in GroupConvention:
+        assert is_relevant_orbit(W((), (7,)), SuperRank(0, 1), Modulus(2), convention)
+    r1 = SuperRank(1, 2)
+    assert is_relevant_orbit(W((3,), (-3, 5)), r1, Modulus(0), GroupConvention.UMINUS)
+    assert not is_relevant_orbit(W((3,), (-3, 5)), r1, Modulus(0), GroupConvention.UPLUS)
 
 
 def test_relevant_chain_runs_through_the_split_boundary():

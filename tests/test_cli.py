@@ -315,7 +315,10 @@ def test_verify_exits_1_when_a_check_fails(monkeypatch):
     from glmn_weights.oracle import VerificationReport
 
     failing = VerificationReport(
-        "image", 1, ({"kind": "forward_not_in_mixed", "weight": {"lambda": [0], "theta": [0, 0]}},)
+        "image",
+        1,
+        ({"kind": "forward_not_in_mixed", "weight": {"lambda": [0], "theta": [0, 0]}},),
+        "pure",
     )
     monkeypatch.setattr(oracle, "run_check", lambda *a, **k: failing)
     code, out, _ = invoke(

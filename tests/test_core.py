@@ -69,8 +69,16 @@ def test_weight_shape_checks():
     assert not bad.matches(r)
     with pytest.raises(ValidationError):
         bad.require_rank(r)
-    with pytest.raises(ValidationError):
-        Weight((1.5,), (0,))
+    for bad_entry in (1.5, True, "1"):
+        with pytest.raises(ValidationError):
+            Weight((bad_entry,), (0,))
+        with pytest.raises(ValidationError):
+            Weight((), (0, bad_entry))
+
+    class Int(int):
+        pass
+
+    assert Weight((Int(3),), (0,)).lam == (3,)
 
 
 def test_split_theta_examples():

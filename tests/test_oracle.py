@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -8,6 +9,7 @@ from glmn_weights.core import CapacityError, Modulus, SuperRank, ValidationError
 from glmn_weights.oracle import (
     Box,
     enumerate_box,
+    run_check,
     verify_image,
     verify_order_invariance,
     verify_theorem,
@@ -120,9 +122,30 @@ def test_reports_are_deterministic():
 
 def test_report_json_shape():
     obj = verify_image(SuperRank(1, 2), Modulus(2), Box(-1, 1)).to_json_dict()
-    assert set(obj) == {"check_name", "total", "failures", "passed"}
+    assert set(obj) == {"check_name", "total", "failures", "passed", "backend"}
     assert obj["passed"] is True
     assert obj["failures"] == []
+    assert obj["backend"] == kernels.active_backend().name
+
+
+# Boxes at both ends of the 64-bit range, and a prime modulus above it: the
+# transform and the sums leave C long there, so the scan must run on the pure
+# backend and still pass.
+BEYOND_C_LONG = (
+    (2, Box(2**63 - 3, 2**63 - 2)),
+    (2, Box(-(2**63), -(2**63) + 1)),
+    (2**63 + 29, Box(0, 1)),
+)
+
+
+@pytest.mark.parametrize("p,box", BEYOND_C_LONG, ids=("max", "min", "big-p"))
+@pytest.mark.parametrize("check", ("image", "order", "theorem", "trace"))
+def test_scans_beyond_c_long_run_on_the_pure_backend(check, p, box):
+    backends = [None] + ([kernels.compiled] if kernels.compiled_available() else [])
+    for be in backends:
+        report = run_check(check, SuperRank(2, 3), Modulus(p), box, backend=be)
+        assert report.passed, report.failures[:2]
+        assert report.backend == "pure"
 
 
 # --- mutation checks: prove the harness can fail -------------------------
@@ -223,4 +246,6 @@ def test_backends_agree_on_reports():
         lambda be: verify_order_invariance(SuperRank(2, 3), Modulus(2), Box(-1, 1), backend=be),
         lambda be: verify_trace_invariants(SuperRank(2, 4), Modulus(2), Box(-1, 1), backend=be),
     ):
-        assert maker(kernels.pure) == maker(kernels.compiled)
+        pure, compiled = maker(kernels.pure), maker(kernels.compiled)
+        assert (pure.backend, compiled.backend) == ("pure", "compiled")
+        assert replace(compiled, backend="pure") == pure

@@ -296,6 +296,50 @@ def test_trace_shape_and_action_rule():
         assert (rec.action is Action.NOOP) == is_zero
 
 
+def _replay(w, p, order, direction):
+    # the step rule written out independently of the library's core
+    lam, theta = list(w.lam), list(w.theta)
+    steps = order.steps if direction is Direction.FORWARD else order.steps[::-1]
+    unit = 1 if direction is Direction.FORWARD else -1
+    out = []
+    for k, (i, j) in enumerate(steps, start=1):
+        before = lam[i - 1] + theta[j - 1]
+        vanishes = before == 0 if p.p == 0 else before % p.p == 0
+        if not vanishes:
+            lam[i - 1] -= unit
+            theta[j - 1] += unit
+        action = Action.NOOP if vanishes else Action.MOVE
+        out.append((k, (i, j), action, before, tuple(lam), tuple(theta)))
+    return out
+
+
+def test_trace_records_match_an_independent_replay():
+    r = SuperRank(2, 4)
+    for p in (0, 2, 3):
+        mod = Modulus(p)
+        for w in box_weights(2, 4, -1, 1):
+            for fn, direction in ((forward, Direction.FORWARD), (inverse, Direction.INVERSE)):
+                for order in (order_v1(2), order_v2(2)):
+                    _, tr = fn(w, mod, order, r)
+                    assert tr.direction is direction
+                    got = [
+                        (rec.k, tuple(rec.pair), rec.action, rec.sum_before,
+                         rec.state_after.lam, rec.state_after.theta)
+                        for rec in tr.records
+                    ]
+                    assert got == _replay(w, mod, order, direction)
+
+
+def test_trace_read_later_keeps_its_own_input():
+    r = SuperRank(2, 3)
+    mod = Modulus(2)
+    first, tr = forward(W((1, 1), (0, 0, 0)), mod, order_v1(2), r)
+    forward(W((2, 0), (1, 1, 0)), mod, order_v1(2), r)
+    inverse(first, mod, order_v2(2), r)
+    assert tr.records[-1].state_after == first
+    assert [rec.state_after.lam for rec in tr.records] == [(1, 0), (1, 0), (1, 0)]
+
+
 def test_transform_accepts_non_dominant_weights():
     r = SuperRank(2, 3)
     out, _ = forward(W((0, 5), (-3, 7, 1)), Modulus(2), order_v1(2), r)
