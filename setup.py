@@ -2,22 +2,10 @@ import os
 
 from setuptools import Extension, setup
 
-ext_modules = []
-if not os.environ.get("GLMN_WEIGHTS_NO_EXT"):
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        # no Cython: compile the shipped C, generated from the .pyx; if that
-        # fails too, install with the pure-Python backend only
-        ext_modules = [
-            Extension(
-                "glmn_weights._speedups", ["src/glmn_weights/_speedups.c"], optional=True
-            )
-        ]
-    else:
-        ext_modules = cythonize(
-            [Extension("glmn_weights._speedups", ["src/glmn_weights/_speedups.pyx"])],
-            compiler_directives={"language_level": "3"},
-        )
+# The compiled scan kernels need only a C compiler; if their build fails, the
+# package installs with the pure-Python backend.  GLMN_WEIGHTS_NO_EXT skips it.
+ext_modules = [] if os.environ.get("GLMN_WEIGHTS_NO_EXT") else [
+    Extension("glmn_weights._speedups", ["src/glmn_weights/_speedups.c"], optional=True)
+]
 
 setup(ext_modules=ext_modules)

@@ -92,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--box", required=True, help="coordinate range LO:HI")
     sp.add_argument(
         "--check",
-        choices=("image", "order", "theorem", "trace", "all"),
+        choices=(*oracle.CHECK_NAMES, "all"),
         default="all",
     )
     sp.add_argument("--cap", type=int, default=oracle.DEFAULT_EXTENSION_CAP,
@@ -233,10 +233,10 @@ def _stream(args, fin, fout, ferr, convert, **csv_spec):
                 continue
             try:
                 w = Weight.from_json_dict(json.loads(line), args.rank)
-            except json.JSONDecodeError as exc:
-                error = f"invalid JSON: {exc}"
             except ValidationError as exc:
                 error = str(exc)
+            except ValueError as exc:  # bad JSON, or an integer too long to read
+                error = f"invalid JSON: {exc}"
             else:
                 yield convert(w)
                 continue

@@ -59,6 +59,11 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _is_int(v) -> bool:
+    """An integer, and not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class SuperRank:
     """Ambient rank: M even basis vectors followed by N odd ones, M < N."""
@@ -67,7 +72,7 @@ class SuperRank:
     N: int
 
     def __post_init__(self):
-        if not isinstance(self.M, int) or not isinstance(self.N, int):
+        if not _is_int(self.M) or not _is_int(self.N):
             raise ValidationError(f"rank entries must be integers, got ({self.M!r}, {self.N!r})")
         if self.M < 0:
             raise ValidationError(f"M must be nonnegative, got {self.M}")
@@ -93,7 +98,7 @@ class Weight:
             object.__setattr__(self, "theta", tuple(self.theta))
         for v in self.lam + self.theta:
             # exact ints take the fast test; int subclasses other than bool pass
-            if type(v) is not int and (not isinstance(v, int) or isinstance(v, bool)):
+            if type(v) is not int and not _is_int(v):
                 raise ValidationError(f"weight entries must be integers, got {v!r}")
 
     def matches(self, rank: SuperRank) -> bool:
@@ -148,7 +153,7 @@ class Modulus:
     p: int
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or isinstance(self.p, bool):
+        if not _is_int(self.p):
             raise ValidationError(f"modulus must be an integer, got {self.p!r}")
         if self.p < 0:
             raise ValidationError(f"modulus must be nonnegative, got {self.p}")

@@ -8,26 +8,23 @@ algorithmic membership, and the per-step trace invariants.  Enumeration is
 lexicographic and streaming, so reports are deterministic and memory use
 stays flat; failure lists are capped without affecting the verdict.
 
-The compiled backend computes in C long.  A box whose coordinates, moved by
-the transform and summed over a weight, could leave that range, or a
-modulus beyond it, is scanned by the pure backend instead; every report
-names the backend that ran.
+The compiled backend computes in C long and enforces that bound itself: its
+scans refuse with OverflowError any modulus or box that C long cannot hold
+through the transform, and such a scan is run again on the pure backend.
+Every report names the backend that ran.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 from . import kernels
-from .core import CapacityError, Modulus, SuperRank, ValidationError, box_weights
-from .serganova import StepOrder, all_linear_extensions, order_v1, order_v2
+from .core import CapacityError, Modulus, SuperRank, ValidationError, _is_int, box_weights
+from .serganova import all_linear_extensions, order_v1, order_v2
 
 DEFAULT_LIMIT = 10_000_000
 DEFAULT_FAILURE_CAP = 20
 DEFAULT_EXTENSION_CAP = 10_000
-# Magnitudes the compiled backend must keep strictly below (C long).
-_C_LONG_LIMIT = 2 ** (8 * struct.calcsize("l") - 1)
 
 
 @dataclass(frozen=True)
@@ -38,7 +35,7 @@ class Box:
     hi: int
 
     def __post_init__(self):
-        if not isinstance(self.lo, int) or not isinstance(self.hi, int):
+        if not _is_int(self.lo) or not _is_int(self.hi):
             raise ValidationError(f"box bounds must be integers, got ({self.lo!r}, {self.hi!r})")
         if self.lo > self.hi:
             raise ValidationError(f"box requires lo <= hi, got {self.lo}:{self.hi}")
@@ -94,27 +91,38 @@ def enumerate_box(rank: SuperRank, box: Box, predicate=None, limit: int = DEFAUL
     return weights if predicate is None else filter(predicate, weights)
 
 
-def _scan_backend(backend, rank: SuperRank, p: Modulus, box: Box):
-    """The backend to scan with: the one given, else the active one, unless
-    the box or the modulus could overflow C long, which only the pure
-    backend can take.  The bound covers the odometer step past hi, the
-    transform's moves of up to M units, the diagonal sums and the total
-    sum of a weight."""
+# The fields that follow (kind, lambda, theta) in each check's failure tuples.
+_FAILURE_FIELDS = {
+    "image": (),
+    "order": ("order",),
+    "theorem": ("predicate", "algorithm"),
+    "trace": ("step",),
+}
+
+
+def _scan(name, rank: SuperRank, p: Modulus, box: Box, limit, failure_cap, backend, *steps):
+    """Run scan_<name> of the given backend, else the active one, over the
+    box and report it.  A compiled scan refuses (OverflowError) a box or
+    modulus that C long cannot hold; the pure backend then runs it."""
+    _require_within_limit(rank, box, limit)
+    _require_cap(failure_cap)
     be = backend if backend is not None else kernels.active_backend()
-    if be is kernels.pure:
-        return be
-    reach = rank.total * (max(abs(box.lo), abs(box.hi)) + rank.M + 1)
-    if reach >= _C_LONG_LIMIT or p.p >= _C_LONG_LIMIT:
-        return kernels.pure
-    return be
-
-
-def _plain_steps(order: StepOrder) -> tuple[tuple[int, int], ...]:
-    return tuple((s.i, s.j) for s in order.steps)
-
-
-def _weight_dict(lam, theta) -> dict:
-    return {"lambda": list(lam), "theta": list(theta)}
+    args = (rank.M, rank.N, p.p, box.lo, box.hi, *steps, failure_cap)
+    try:
+        total, fails = getattr(be, f"scan_{name}")(*args)
+    except OverflowError:
+        if be is kernels.pure:
+            raise
+        be = kernels.pure
+        total, fails = getattr(be, f"scan_{name}")(*args)
+    failures = []
+    for kind, lam, theta, *extra in fails:
+        failure = {"kind": kind, "weight": {"lambda": list(lam), "theta": list(theta)}}
+        if name == "order":  # the scan names the order by its index in orders
+            extra = [[list(s) for s in steps[1][extra[0]]]]
+        failure.update(zip(_FAILURE_FIELDS[name], extra))
+        failures.append(failure)
+    return VerificationReport(name, total, tuple(failures), be.name)
 
 
 def verify_image(
@@ -134,13 +142,7 @@ def verify_image(
     (every mixed weight pulls back to a dominant one that maps forward onto
     it) because forward shifts entries and can leave the box.
     """
-    be = _scan_backend(backend, rank, p, box)
-    _require_within_limit(rank, box, limit)
-    _require_cap(failure_cap)
-    steps = _plain_steps(order_v1(rank.M))
-    total, fails = be.scan_image(rank.M, rank.N, p.p, box.lo, box.hi, steps, failure_cap)
-    failures = tuple({"kind": f[0], "weight": _weight_dict(f[1], f[2])} for f in fails)
-    return VerificationReport("image", total, failures, be.name)
+    return _scan("image", rank, p, box, limit, failure_cap, backend, order_v1(rank.M).steps)
 
 
 def verify_order_invariance(
@@ -155,22 +157,9 @@ def verify_order_invariance(
 ) -> VerificationReport:
     """Check that every linear extension of the pair order transforms each
     dominant weight in the box to the same result as the column order."""
-    be = _scan_backend(backend, rank, p, box)
-    _require_within_limit(rank, box, limit)
-    _require_cap(failure_cap)
-    extensions = all_linear_extensions(rank.M, cap)
-    orders = tuple(_plain_steps(o) for o in extensions)
-    ref = _plain_steps(order_v1(rank.M))
-    total, fails = be.scan_order(rank.M, rank.N, p.p, box.lo, box.hi, ref, orders, failure_cap)
-    failures = tuple(
-        {
-            "kind": f[0],
-            "weight": _weight_dict(f[1], f[2]),
-            "order": [list(s) for s in orders[f[3]]],
-        }
-        for f in fails
-    )
-    return VerificationReport("order", total, failures, be.name)
+    orders = tuple(o.steps for o in all_linear_extensions(rank.M, cap))
+    ref = order_v1(rank.M).steps
+    return _scan("order", rank, p, box, limit, failure_cap, backend, ref, orders)
 
 
 def verify_theorem(
@@ -187,21 +176,7 @@ def verify_theorem(
     image of the dominant set.  Requires a prime modulus."""
     if p.p == 0:
         raise ValidationError("the theorem check requires a prime modulus, got p=0")
-    be = _scan_backend(backend, rank, p, box)
-    _require_within_limit(rank, box, limit)
-    _require_cap(failure_cap)
-    steps = _plain_steps(order_v1(rank.M))
-    total, fails = be.scan_theorem(rank.M, rank.N, p.p, box.lo, box.hi, steps, failure_cap)
-    failures = tuple(
-        {
-            "kind": f[0],
-            "weight": _weight_dict(f[1], f[2]),
-            "predicate": f[3],
-            "algorithm": f[4],
-        }
-        for f in fails
-    )
-    return VerificationReport("theorem", total, failures, be.name)
+    return _scan("theorem", rank, p, box, limit, failure_cap, backend, order_v1(rank.M).steps)
 
 
 def verify_trace_invariants(
@@ -216,16 +191,8 @@ def verify_trace_invariants(
     """Check the per-step invariants of the transform on every dominant
     weight in the box (monotone intermediate states, sum conservation,
     congruence memory, untouched trailing theta entries)."""
-    be = _scan_backend(backend, rank, p, box)
-    _require_within_limit(rank, box, limit)
-    _require_cap(failure_cap)
-    s1 = _plain_steps(order_v1(rank.M))
-    s2 = _plain_steps(order_v2(rank.M))
-    total, fails = be.scan_trace(rank.M, rank.N, p.p, box.lo, box.hi, s1, s2, failure_cap)
-    failures = tuple(
-        {"kind": f[0], "weight": _weight_dict(f[1], f[2]), "step": f[3]} for f in fails
-    )
-    return VerificationReport("trace", total, failures, be.name)
+    s1, s2 = order_v1(rank.M).steps, order_v2(rank.M).steps
+    return _scan("trace", rank, p, box, limit, failure_cap, backend, s1, s2)
 
 
 CHECK_NAMES = ("image", "order", "theorem", "trace")

@@ -32,6 +32,7 @@ from .core import (
     SuperRank,
     ValidationError,
     Weight,
+    _is_int,
     _valid_weight,
     congruent_zero,
 )
@@ -60,7 +61,7 @@ class StepOrder:
             steps = tuple(PairIndex(i, j) for (i, j) in self.steps)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"steps must be (i, j) pairs: {exc}") from exc
-        if any(not isinstance(v, int) or isinstance(v, bool) for pair in steps for v in pair):
+        if not all(_is_int(v) for pair in steps for v in pair):
             raise ValidationError(f"steps must be (i, j) pairs of integers, got {self.steps!r}")
         object.__setattr__(self, "steps", steps)
         expected = set(all_pairs(self.M))

@@ -291,11 +291,17 @@ def test_capacity_errors_exit_3():
 
 
 def test_malformed_input_lines_reported_with_numbers():
-    stdin = '{"lambda":[1],"theta":[0,0]}\nnot json\n{"lambda":[1,2],"theta":[0,0]}\n'
-    code, out, err = invoke(["transform", "--M", "1", "--N", "2", "--p", "2"], stdin)
-    assert code == 1
-    assert len(out.splitlines()) == 1  # good line still processed
-    assert "line 2" in err and "line 3" in err
+    # line 4 holds an integer beyond Python's default int-string digit limit
+    huge = "9" * 5000
+    stdin = (
+        '{"lambda":[1],"theta":[0,0]}\nnot json\n{"lambda":[1,2],"theta":[0,0]}\n'
+        f'{{"lambda":[{huge}],"theta":[0,0]}}\n'
+    )
+    for cmd in (["transform", "--p", "2"], ["classify", "--p", "2"], ["orbit-rep"]):
+        code, out, err = invoke([*cmd, "--M", "1", "--N", "2"], stdin)
+        assert code == 1
+        assert len(out.splitlines()) == 1  # good line still processed
+        assert "line 2" in err and "line 3" in err and "line 4" in err
 
 
 def test_empty_input_empty_output_exit_0():

@@ -55,7 +55,7 @@ def test_rank_validation():
     assert SuperRank(0, 1).total == 1
     assert SuperRank(2, 3).total == 5
     SuperRank(7, 8)
-    for M, N in ((3, 3), (4, 3), (-1, 2), (2, 0)):
+    for M, N in ((3, 3), (4, 3), (-1, 2), (2, 0), (False, True), (0, True), (1.0, 2)):
         with pytest.raises(ValidationError):
             SuperRank(M, N)
 

@@ -46,8 +46,9 @@ def test_enumerate_box_limit():
 
 
 def test_box_validation():
-    with pytest.raises(ValidationError):
-        Box(2, -2)
+    for lo, hi in ((2, -2), (True, True), (False, 1), (0, True), (0, 1.0)):
+        with pytest.raises(ValidationError):
+            Box(lo, hi)
     with pytest.raises(ValidationError):
         verify_image(SuperRank(1, 2), Modulus(2), Box(-1, 1), failure_cap=0)
 
@@ -222,6 +223,25 @@ def test_mutation_failures_are_capped_and_ordered(monkeypatch):
         (tuple(f["weight"]["lambda"]), tuple(f["weight"]["theta"])) for f in report.failures
     ]
     assert weights == sorted(weights)
+
+
+def test_mutation_order_failures_name_the_broken_order(monkeypatch):
+    # one linear extension gives a wrong result; the report must name it
+    rank, mod = SuperRank(3, 4), Modulus(2)
+    broken = serganova.all_linear_extensions(3)[-1]
+    assert broken != serganova.order_v1(3)
+    real = serganova.forward
+
+    def forward(w, p, order, rank):
+        out, tr = real(w, p, order, rank)
+        if order == broken:
+            out = Weight(out.lam, out.theta[:-1] + (out.theta[-1] + 1,))
+        return out, tr
+
+    monkeypatch.setattr(serganova, "forward", forward)
+    report = verify_order_invariance(rank, mod, Box(-1, 1), backend=_pure(), failure_cap=5)
+    assert len(report.failures) == 5
+    assert all(f["order"] == [list(s) for s in broken.steps] for f in report.failures)
 
 
 def test_compiled_backend_at_larger_scale():
