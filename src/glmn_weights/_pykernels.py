@@ -2,25 +2,30 @@
 verification loops.
 
 Mirrors the compiled extension's scan_* API and failure payloads exactly.
-Every per-weight operation is routed through the public modules (looked up
-at call time), so the harness exercises the same code the library exposes
-and the test suite can substitute deliberately broken variants.
+The image, order and trace scans visit only the dominant weights of the box
+(core.dominant_weights walks the non-increasing chains directly); the
+theorem scan walks the whole box, because its predicate side must also see
+the weights that are not dominant.  Every per-weight operation is routed
+through the public modules (looked up at call time), so the harness
+exercises the same code the library exposes and the test suite can
+substitute deliberately broken variants.
 """
 
 from __future__ import annotations
 
 from . import classify, serganova
 from .classify import GroupConvention
-from .core import Modulus, SuperRank, box_weights, congruent_zero
+from .core import Modulus, SuperRank, box_weights, congruent_zero, dominant_weights
 from .serganova import StepOrder
 
 name = "pure"
 
 
 def scan_image(M, N, p, lo, hi, steps, failure_cap):
-    """One pass over the box checking both directions of the set equality:
-    dominant weights land in the mixed set and round-trip back; mixed
-    weights pull back to dominant ones and round-trip forward."""
+    """One pass over the dominant weights of the box checking both
+    directions of the set equality: dominant weights land in the mixed set
+    and round-trip back; mixed weights (all of them dominant) pull back to
+    dominant ones and round-trip forward."""
     rank = SuperRank(M, N)
     mod = Modulus(p)
     order = StepOrder(M, steps)
@@ -31,15 +36,14 @@ def scan_image(M, N, p, lo, hi, steps, failure_cap):
         if len(failures) < failure_cap:
             failures.append((kind, w.lam, w.theta) + extra)
 
-    for w in box_weights(M, N, lo, hi):
-        if classify.is_standard_dominant(w, rank):
-            total += 1
-            m, _ = serganova.forward(w, mod, order, rank)
-            if not classify.is_mixed_highest_weight(m, rank, mod):
-                note("forward_not_in_mixed", w)
-            back, _ = serganova.inverse(m, mod, order, rank)
-            if back != w:
-                note("inverse_forward_roundtrip", w)
+    for w in dominant_weights(M, N, lo, hi):
+        total += 1
+        m, _ = serganova.forward(w, mod, order, rank)
+        if not classify.is_mixed_highest_weight(m, rank, mod):
+            note("forward_not_in_mixed", w)
+        back, _ = serganova.inverse(m, mod, order, rank)
+        if back != w:
+            note("inverse_forward_roundtrip", w)
         if classify.is_mixed_highest_weight(w, rank, mod):
             total += 1
             a, _ = serganova.inverse(w, mod, order, rank)
@@ -83,9 +87,7 @@ def scan_order(M, N, p, lo, hi, ref_steps, orders, failure_cap):
     step_orders = [StepOrder(M, s) for s in orders]
     total = 0
     failures = []
-    for w in box_weights(M, N, lo, hi):
-        if not classify.is_standard_dominant(w, rank):
-            continue
+    for w in dominant_weights(M, N, lo, hi):
         ref, _ = serganova.forward(w, mod, ref_order, rank)
         for idx, o in enumerate(step_orders):
             total += 1
@@ -116,9 +118,7 @@ def scan_trace(M, N, p, lo, hi, steps_v1, steps_v2, failure_cap):
     def down(seq):
         return all(seq[a] >= seq[a + 1] for a in range(len(seq) - 1))
 
-    for w in box_weights(M, N, lo, hi):
-        if not classify.is_standard_dominant(w, rank):
-            continue
+    for w in dominant_weights(M, N, lo, hi):
         total += 1
         base = sum(w.lam) + sum(w.theta)
         dummies = w.theta[M + 1 :]

@@ -3,12 +3,15 @@
  *
  * Same API and failure payloads as the pure backend (_pykernels); selected
  * at import time by glmn_weights.kernels when the extension is built.  A
- * weight lives in one C long buffer (lambda first, then theta) and the box
- * is walked with an odometer, so the hot loop allocates nothing until a
- * counterexample shows up.
+ * weight lives in one C long buffer (lambda first, then theta) and is walked
+ * with an odometer, so the hot loop allocates nothing until a counterexample
+ * shows up.  The theorem scan walks the whole box (next_weight); the image,
+ * order and trace scans visit only its dominant weights (next_dominant),
+ * in the same lexicographic order as the pure backend.
  *
- * The kernels compute in C long.  Every scan refuses, with OverflowError and
- * before it visits a weight, a modulus or box bound outside C long and any
+ * The kernels compute in C long on at most MAXN coordinates.  Every scan
+ * refuses, with OverflowError and before it visits a weight, a rank with
+ * more than MAXN coordinates, a modulus or box bound outside C long and any
  * box whose coordinates, moved by the transform and summed over a weight,
  * could leave it; glmn_weights.oracle then runs the pure backend instead.
  *
@@ -125,8 +128,9 @@ inverse(long *w, long p, const int *si, const int *sj, Py_ssize_t ns)
         step(w, p, si[k], sj[k], -1);
 }
 
-/* Set coords to the first weight of the box, every entry lo.  All MAXN
-   entries are set, so that copy() reads only defined values. */
+/* Set coords to the first weight of the box, every entry lo, which is also
+   its first dominant weight.  All MAXN entries are set, so that copy()
+   reads only defined values. */
 static inline void
 first_weight(long *coords, long lo)
 {
@@ -142,6 +146,24 @@ next_weight(long *coords, Py_ssize_t n, long lo, long hi)
 {
     for (Py_ssize_t k = n - 1; k >= 0; k--) {
         if (coords[k] < hi) {
+            coords[k]++;
+            return 1;
+        }
+        coords[k] = lo;
+    }
+    return 0;
+}
+
+/* Move the n = M + N coordinates to the next dominant weight of the box
+   (lambda = coords[0..M) and theta = coords[M..n) both non-increasing) in
+   lexicographic order; return 0 after the last one.  Coordinate k is
+   bounded by coordinate k - 1 of its chain, or by hi at the head of a
+   chain; every coordinate after the one incremented is reset to lo. */
+static inline int
+next_dominant(long *coords, Py_ssize_t M, Py_ssize_t n, long lo, long hi)
+{
+    for (Py_ssize_t k = n - 1; k >= 0; k--) {
+        if (coords[k] < (k == 0 || k == M ? hi : coords[k - 1])) {
             coords[k]++;
             return 1;
         }
@@ -178,7 +200,8 @@ check_box(Py_ssize_t M, Py_ssize_t N, long lo, long hi)
         return -1;
     }
     if (M + N > MAXN) {
-        PyErr_Format(PyExc_ValueError, "compiled backend supports M+N <= %d, got %zd",
+        PyErr_Format(PyExc_OverflowError,
+                     "compiled backend supports M+N <= %d, got %zd; use the pure backend",
                      MAXN, M + N);
         return -1;
     }
@@ -293,9 +316,9 @@ scan_image(PyObject *self, PyObject *args)
         return NULL;
     n = M + N;
     first_weight(coords, lo);
+    /* Every mixed weight is dominant, so the dominant weights of the box
+       hold its whole mixed set: those that also pass vanishing(). */
     do {
-        if (!dominant(coords, M, N))
-            continue; /* mixed weights are dominant too */
         total++;
         copy(work, coords, n);
         forward(work, p, si, sj, ns);
@@ -318,7 +341,7 @@ scan_image(PyObject *self, PyObject *args)
                 && note(failures, cap, "forward_inverse_roundtrip", coords, M, N, "()") < 0)
                 goto fail;
         }
-    } while (next_weight(coords, n, lo, hi));
+    } while (next_dominant(coords, M, n, lo, hi));
     return Py_BuildValue("(lN)", total, failures);
 fail:
     Py_DECREF(failures);
@@ -405,8 +428,6 @@ scan_order(PyObject *self, PyObject *args)
     n = M + N;
     first_weight(coords, lo);
     do {
-        if (!dominant(coords, M, N))
-            continue;
         copy(ref, coords, n);
         forward(ref, p, ri, rj, ns);
         for (Py_ssize_t o = 0; o < n_orders; o++) {
@@ -417,7 +438,7 @@ scan_order(PyObject *self, PyObject *args)
                 && note(failures, cap, "order_mismatch", coords, M, N, "(n)", o) < 0)
                 goto fail;
         }
-    } while (next_weight(coords, n, lo, hi));
+    } while (next_dominant(coords, M, n, lo, hi));
     PyMem_Free(osi);
     PyMem_Free(osj);
     Py_DECREF(seq);
@@ -456,8 +477,6 @@ scan_trace(PyObject *self, PyObject *args)
     n = M + N;
     first_weight(coords, lo);
     do {
-        if (!dominant(coords, M, N))
-            continue;
         total++;
         base = sum(coords, n);
         /* v1 keeps lambda non-increasing, v2 the first M+1 theta entries */
@@ -483,7 +502,7 @@ scan_trace(PyObject *self, PyObject *args)
                     goto fail;
             }
         }
-    } while (next_weight(coords, n, lo, hi));
+    } while (next_dominant(coords, M, n, lo, hi));
     return Py_BuildValue("(lN)", total, failures);
 fail:
     Py_DECREF(failures);
@@ -495,7 +514,8 @@ fail:
 static PyMethodDef methods[] = {
     {"scan_image", scan_image, METH_VARARGS,
      "scan_image($module, M, N, p, lo, hi, steps, failure_cap, /)\n--\n\n"
-     "One pass over the box checking both directions of the set equality."},
+     "One pass over the dominant weights of the box checking both directions of\n"
+     "the set equality."},
     {"scan_theorem", scan_theorem, METH_VARARGS,
      "scan_theorem($module, M, N, p, lo, hi, steps, failure_cap, /)\n--\n\n"
      "Predicate vs algorithm on every weight in the box."},

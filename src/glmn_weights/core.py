@@ -146,6 +146,27 @@ def box_weights(M: int, N: int, lo: int, hi: int):
         yield Weight(coords[:M], coords[M:])
 
 
+def dominant_weights(M: int, N: int, lo: int, hi: int):
+    """Yield the weights of box_weights(M, N, lo, hi) whose lambda and theta
+    are both non-increasing, in the same lexicographic order.
+
+    The chains are built entry by entry, each bounded above by the one
+    before it, so no other weight of the box is visited and nothing is held
+    beyond the entries of the current weight."""
+
+    def chains(n, top):
+        if n == 0:
+            yield ()
+            return
+        for head in range(lo, top + 1):
+            for rest in chains(n - 1, head):
+                yield (head, *rest)
+
+    for lam in chains(M, hi):
+        for theta in chains(N, hi):
+            yield Weight(lam, theta)
+
+
 @dataclass(frozen=True)
 class Modulus:
     """Congruence modulus: 0 tests exact vanishing, a prime p tests mod p."""

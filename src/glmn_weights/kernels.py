@@ -4,9 +4,10 @@ The compiled extension (built from _speedups.c) is used when built; the
 pure-Python twin otherwise.  Set GLMN_WEIGHTS_PURE=1 to force the pure
 backend (useful for debugging and for benchmarking).
 
-The compiled scans compute in C long and enforce that bound themselves: each
-raises OverflowError, before it visits a weight, on a modulus or box that C
-long cannot hold through the transform.  The pure scans take any integers.
+The compiled scans compute in C long on at most 64 coordinates and enforce
+those bounds themselves: each raises OverflowError, before it visits a
+weight, on a rank with more coordinates, or a modulus or box that C long
+cannot hold through the transform.  The pure scans take any integers.
 """
 
 from __future__ import annotations

@@ -1,17 +1,23 @@
 """Exhaustive desk-scale verification.
 
-Each check enumerates every weight whose coordinates lie in a small integer
-box and tests a finite restatement of one of the structural claims: the
-image characterization of the forward transform, its independence of the
-step order chosen, the agreement of the orbit-relevance predicate with
-algorithmic membership, and the per-step trace invariants.  Enumeration is
+Each check tests a finite restatement of one of the structural claims on the
+weights whose coordinates lie in a small integer box: the image
+characterization of the forward transform, its independence of the step
+order chosen, the agreement of the orbit-relevance predicate with
+algorithmic membership, and the per-step trace invariants.  The image, order
+and trace checks concern dominant weights only (every mixed weight is
+dominant too), so they visit just the dominant weights of the box, walking
+the non-increasing chains directly; the theorem check walks the whole box,
+because its predicate side must also reject the weights that are not
+dominant.  A report's `total` counts the instances tested, and the
+enumeration limit counts the whole box for every check.  Enumeration is
 lexicographic and streaming, so reports are deterministic and memory use
 stays flat; failure lists are capped without affecting the verdict.
 
-The compiled backend computes in C long and enforces that bound itself: its
-scans refuse with OverflowError any modulus or box that C long cannot hold
-through the transform, and such a scan is run again on the pure backend.
-Every report names the backend that ran.
+The compiled backend computes in C long on at most 64 coordinates and
+enforces those bounds itself: its scans refuse with OverflowError any rank,
+modulus or box that it cannot hold through the transform, and such a scan
+is run again on the pure backend.  Every report names the backend that ran.
 """
 
 from __future__ import annotations
@@ -102,8 +108,8 @@ _FAILURE_FIELDS = {
 
 def _scan(name, rank: SuperRank, p: Modulus, box: Box, limit, failure_cap, backend, *steps):
     """Run scan_<name> of the given backend, else the active one, over the
-    box and report it.  A compiled scan refuses (OverflowError) a box or
-    modulus that C long cannot hold; the pure backend then runs it."""
+    box and report it.  A compiled scan refuses (OverflowError) a rank, box
+    or modulus that it cannot hold; the pure backend then runs it."""
     _require_within_limit(rank, box, limit)
     _require_cap(failure_cap)
     be = backend if backend is not None else kernels.active_backend()

@@ -227,6 +227,17 @@ def test_defaulted_flags_match_their_defaults():
     assert invoke(verify) == invoke([*verify, "--check", "all", "--failure-cap", "20"])
 
 
+def test_verify_rank_beyond_the_compiled_buffers():
+    # 65 coordinates: the compiled scans refuse them and the pure backend runs
+    for check in ("image", "theorem", "trace"):
+        code, out, err = invoke(
+            ["verify", "--M", "32", "--N", "33", "--p", "2", "--box", "0:0", "--check", check]
+        )
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["passed"] is True and report["backend"] == "pure"
+
+
 def test_verify_negative_box_with_space():
     code, _, err = invoke(
         ["verify", "--M", "1", "--N", "2", "--p", "2", "--box", "-1:1", "--check", "image"]

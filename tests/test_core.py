@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,7 +10,9 @@ from glmn_weights.core import (
     ThetaSplit,
     ValidationError,
     Weight,
+    box_weights,
     congruent_zero,
+    dominant_weights,
     join_theta,
     split_theta,
 )
@@ -117,3 +121,27 @@ def test_weight_json_rejects_malformed():
             Weight.from_json_dict(obj, r)
     with pytest.raises(ValidationError):
         Weight.from_json_dict({"lambda": [1, 2], "theta": [0, 0]}, r)
+
+
+def _non_increasing(seq):
+    return all(a >= b for a, b in zip(seq, seq[1:]))
+
+
+@pytest.mark.parametrize("M,N", ((0, 1), (1, 2), (2, 3), (3, 4), (2, 5)))
+@pytest.mark.parametrize("lo,hi", ((0, 0), (-1, 1), (-3, -1), (-2, 2)))
+def test_dominant_weights_are_the_dominant_box_weights(M, N, lo, hi):
+    got = list(dominant_weights(M, N, lo, hi))
+    want = [
+        w for w in box_weights(M, N, lo, hi)
+        if _non_increasing(w.lam) and _non_increasing(w.theta)
+    ]
+    assert got == want  # same weights, same lexicographic order
+    w = hi - lo + 1
+    assert len(got) == comb(w + M - 1, M) * comb(w + N - 1, N)
+
+
+def test_dominant_weights_stream():
+    # a box of 2 * 10**9 + 1 values per coordinate: only a generator that
+    # never lists the chains can yield the first weight at once
+    first = next(dominant_weights(0, 2, -(10**9), 10**9))
+    assert (first.lam, first.theta) == ((), (-(10**9), -(10**9)))

@@ -12,7 +12,8 @@ import pytest
 from glmn_weights import kernels
 from glmn_weights.classify import GroupConvention, is_relevant_orbit
 from glmn_weights.core import Modulus, SuperRank, Weight
-from glmn_weights.serganova import all_linear_extensions, order_v1, order_v2
+from glmn_weights.roots import PairIndex
+from glmn_weights.serganova import StepOrder, all_linear_extensions, order_v1, order_v2
 
 needs_compiled = pytest.mark.skipif(
     not kernels.compiled_available(), reason="compiled backend not built"
@@ -116,7 +117,9 @@ LONG_MAX = 2 ** (8 * struct.calcsize("l") - 1) - 1
 
 @needs_compiled
 def test_compiled_rejects_oversized_ranks():
-    with pytest.raises(ValueError):
+    # more coordinates than the compiled buffers hold: a capacity refusal,
+    # which oracle answers by running the pure backend
+    with pytest.raises(OverflowError):
         kernels.compiled.scan_image(40, 41, 2, 0, 0, (), 20)
     # Boxes whose coordinates, moved by the transform and summed over a
     # weight, leave C long, and a modulus beyond it: the compiled scans
@@ -211,3 +214,42 @@ def test_compiled_failure_reports():
         weights = [f[1] + f[2] for f in fails]
         assert weights == sorted(weights)
     assert all(1 <= f[3] <= len(rv1) for f in trace_fails)
+
+
+def unchecked_order(M, steps):
+    """A StepOrder built without checking that steps is a linear extension,
+    so that the pure scans run any step list, as the compiled ones do."""
+    order = object.__new__(StepOrder)
+    object.__setattr__(order, "M", M)
+    object.__setattr__(order, "steps", tuple(PairIndex(i, j) for i, j in steps))
+    return order
+
+
+@needs_compiled
+@pytest.mark.parametrize("M,N,p,lo,hi", ((3, 4, 2, -2, 2), (2, 5, 2, -1, 2)))
+def test_backends_walk_the_same_weights(monkeypatch, M, N, p, lo, hi):
+    # The compiled odometers and core.dominant_weights must visit the same
+    # weights in the same order: the canonical steps, reversed steps (which
+    # fail on many weights) and the orders in reverse, at several caps.  The
+    # pure scans keep the first `cap` failures (see test_oracle), so one
+    # uncapped pure run is the reference for every cap.
+    monkeypatch.setattr(kernels.pure, "StepOrder", unchecked_order)
+    v1, v2 = steps_of(order_v1(M)), steps_of(order_v2(M))
+    orders = tuple(steps_of(o) for o in all_linear_extensions(M))
+    box = (M, N, p, lo, hi)
+    uncapped = (hi - lo + 1) ** (M + N) * len(orders)
+    failing = set()
+    for s1, s2, ords in ((v1, v2, orders), (v1[::-1], v2[::-1], orders[::-1])):
+        for scan, steps in (
+            ("scan_image", (s1,)),
+            ("scan_theorem", (s1,)),
+            ("scan_order", (s1, ords)),
+            ("scan_trace", (s1, s2)),
+        ):
+            total, fails = getattr(kernels.pure, scan)(*box, *steps, uncapped)
+            for cap in (1, 3, uncapped):
+                got = getattr(kernels.compiled, scan)(*box, *steps, cap)
+                assert got == (total, fails[:cap]), (scan, cap)
+            if fails:
+                failing.add(scan)
+    assert len(failing) == 4  # reversed steps make every scan report failures

@@ -106,6 +106,26 @@ def test_verify_trace_invariants_passes():
     assert verify_trace_invariants(SuperRank(2, 4), Modulus(3), Box(-1, 1)).passed
 
 
+def _backends():
+    """Every available backend, the pure one first."""
+    return [kernels.pure] + ([kernels.compiled] if kernels.compiled_available() else [])
+
+
+@pytest.mark.parametrize("M,N", ((2, 3), (3, 4)))
+def test_image_and_trace_totals_count_the_box(M, N):
+    # Totals against an independent count over the whole box: a scan that
+    # drops or repeats a dominant weight changes them.
+    rank, mod, box = SuperRank(M, N), Modulus(2), Box(-2, 1)
+    dominant = sum(1 for w in enumerate_box(rank, box) if classify.is_standard_dominant(w, rank))
+    mixed = sum(
+        1 for w in enumerate_box(rank, box) if classify.is_mixed_highest_weight(w, rank, mod)
+    )
+    assert 0 < mixed < dominant < box.count(rank)
+    for be in _backends():
+        assert verify_trace_invariants(rank, mod, box, backend=be).total == dominant
+        assert verify_image(rank, mod, box, backend=be).total == dominant + mixed
+
+
 def test_passing_reports_survive_sub_boxes():
     # monotonicity of exhaustive checks: a pass on the big box forces a pass
     # on any sub-box
@@ -142,9 +162,17 @@ BEYOND_C_LONG = (
 @pytest.mark.parametrize("p,box", BEYOND_C_LONG, ids=("max", "min", "big-p"))
 @pytest.mark.parametrize("check", ("image", "order", "theorem", "trace"))
 def test_scans_beyond_c_long_run_on_the_pure_backend(check, p, box):
-    backends = [None] + ([kernels.compiled] if kernels.compiled_available() else [])
-    for be in backends:
+    for be in [None, *_backends()]:
         report = run_check(check, SuperRank(2, 3), Modulus(p), box, backend=be)
+        assert report.passed, report.failures[:2]
+        assert report.backend == "pure"
+
+
+@pytest.mark.parametrize("check", ("image", "theorem", "trace"))
+def test_ranks_beyond_the_compiled_buffers_run_on_the_pure_backend(check):
+    # 65 coordinates, one more than the compiled scans hold
+    for be in [None, *_backends()]:
+        report = run_check(check, SuperRank(32, 33), Modulus(2), Box(0, 0), backend=be)
         assert report.passed, report.failures[:2]
         assert report.backend == "pure"
 
