@@ -150,21 +150,25 @@ def dominant_weights(M: int, N: int, lo: int, hi: int):
     """Yield the weights of box_weights(M, N, lo, hi) whose lambda and theta
     are both non-increasing, in the same lexicographic order.
 
-    The chains are built entry by entry, each bounded above by the one
-    before it, so no other weight of the box is visited and nothing is held
-    beyond the entries of the current weight."""
-
-    def chains(n, top):
-        if n == 0:
-            yield ()
+    An odometer over the coordinates: each is bounded above by the one
+    before it in its chain (by hi at the head of a chain), and stepping one
+    resets every later one to lo.  No other weight of the box is visited and
+    nothing is held beyond the coordinates of the current weight."""
+    n = M + N
+    if n and lo > hi:
+        return
+    coords = [lo] * n
+    while True:
+        yield Weight(tuple(coords[:M]), tuple(coords[M:]))
+        k = n - 1
+        while k >= 0:
+            if coords[k] < (hi if k == 0 or k == M else coords[k - 1]):
+                coords[k] += 1
+                break
+            coords[k] = lo
+            k -= 1
+        else:
             return
-        for head in range(lo, top + 1):
-            for rest in chains(n - 1, head):
-                yield (head, *rest)
-
-    for lam in chains(M, hi):
-        for theta in chains(N, hi):
-            yield Weight(lam, theta)
 
 
 @dataclass(frozen=True)

@@ -140,6 +140,24 @@ def test_dominant_weights_are_the_dominant_box_weights(M, N, lo, hi):
     assert len(got) == comb(w + M - 1, M) * comb(w + N - 1, N)
 
 
+@pytest.mark.parametrize("M,N", ((0, 0), (0, 1), (1, 2)))
+def test_dominant_weights_of_an_empty_range(M, N):
+    # like box_weights: no coordinates give the one empty weight, else none
+    assert list(dominant_weights(M, N, 1, 0)) == list(box_weights(M, N, 1, 0))
+
+
+@pytest.mark.parametrize("lo,hi", ((0, 0), (0, 1)))
+def test_dominant_weights_long_chains(lo, hi):
+    # chains far longer than Python's recursion limit
+    got = list(dominant_weights(1, 1200, lo, hi))
+    want = [
+        Weight((a,), (hi,) * k + (lo,) * (1200 - k))
+        for a in range(lo, hi + 1)
+        for k in range(1201 if hi > lo else 1)
+    ]
+    assert got == want
+
+
 def test_dominant_weights_stream():
     # a box of 2 * 10**9 + 1 values per coordinate: only a generator that
     # never lists the chains can yield the first weight at once

@@ -99,10 +99,13 @@ def test_scan_parity_degenerate_m0():
     )
 
 
-def scan_calls(M, N, p, lo, hi, cap=20):
-    """The four scans with the canonical orders, as (scan, args) pairs."""
+def scan_calls(M, N, p, lo, hi, cap=20, reverse=False):
+    """The four scans with the canonical orders, as (scan, args) pairs;
+    reverse=True reverses the steps and the list of orders."""
     s1, s2 = steps_of(order_v1(M)), steps_of(order_v2(M))
     orders = tuple(steps_of(o) for o in all_linear_extensions(M))
+    if reverse:
+        s1, s2, orders = s1[::-1], s2[::-1], orders[::-1]
     box = (M, N, p, lo, hi)
     return (
         ("scan_image", (*box, s1, cap)),
@@ -234,21 +237,13 @@ def test_backends_walk_the_same_weights(monkeypatch, M, N, p, lo, hi):
     # pure scans keep the first `cap` failures (see test_oracle), so one
     # uncapped pure run is the reference for every cap.
     monkeypatch.setattr(kernels.pure, "StepOrder", unchecked_order)
-    v1, v2 = steps_of(order_v1(M)), steps_of(order_v2(M))
-    orders = tuple(steps_of(o) for o in all_linear_extensions(M))
-    box = (M, N, p, lo, hi)
-    uncapped = (hi - lo + 1) ** (M + N) * len(orders)
+    uncapped = (hi - lo + 1) ** (M + N) * len(all_linear_extensions(M))
     failing = set()
-    for s1, s2, ords in ((v1, v2, orders), (v1[::-1], v2[::-1], orders[::-1])):
-        for scan, steps in (
-            ("scan_image", (s1,)),
-            ("scan_theorem", (s1,)),
-            ("scan_order", (s1, ords)),
-            ("scan_trace", (s1, s2)),
-        ):
-            total, fails = getattr(kernels.pure, scan)(*box, *steps, uncapped)
+    for reverse in (False, True):
+        for scan, args in scan_calls(M, N, p, lo, hi, uncapped, reverse):
+            total, fails = getattr(kernels.pure, scan)(*args)
             for cap in (1, 3, uncapped):
-                got = getattr(kernels.compiled, scan)(*box, *steps, cap)
+                got = getattr(kernels.compiled, scan)(*args[:-1], cap)
                 assert got == (total, fails[:cap]), (scan, cap)
             if fails:
                 failing.add(scan)

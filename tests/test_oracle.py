@@ -170,11 +170,13 @@ def test_scans_beyond_c_long_run_on_the_pure_backend(check, p, box):
 
 @pytest.mark.parametrize("check", ("image", "theorem", "trace"))
 def test_ranks_beyond_the_compiled_buffers_run_on_the_pure_backend(check):
-    # 65 coordinates, one more than the compiled scans hold
-    for be in [None, *_backends()]:
-        report = run_check(check, SuperRank(32, 33), Modulus(2), Box(0, 0), backend=be)
-        assert report.passed, report.failures[:2]
-        assert report.backend == "pure"
+    # 65 coordinates, one more than the compiled scans hold, and a theta
+    # chain far longer than Python's recursion limit
+    for rank in (SuperRank(32, 33), SuperRank(2, 1200)):
+        for be in [None, *_backends()]:
+            report = run_check(check, rank, Modulus(2), Box(0, 0), backend=be)
+            assert report.passed, report.failures[:2]
+            assert report.backend == "pure"
 
 
 # --- mutation checks: prove the harness can fail -------------------------
