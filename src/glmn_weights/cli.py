@@ -98,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cap", type=int, default=oracle.DEFAULT_EXTENSION_CAP,
                     help="max linear extensions for the order check")
     sp.add_argument("--limit", type=int, default=oracle.DEFAULT_LIMIT,
-                    help="max box cardinality per check")
+                    help="max weights a check visits")
     sp.add_argument("--failure-cap", type=int, default=oracle.DEFAULT_FAILURE_CAP,
                     help="max counterexamples kept per report")
     return parser
@@ -330,13 +330,16 @@ def _run_roots(args, fin, fout, ferr):
 
 def _run_enumerate(args, fin, fout, ferr):
     rank, p = args.rank, args.p
-    predicate = {
-        "all": None,
-        "dominant": lambda w: is_standard_dominant(w, rank),
-        "mixed": lambda w: is_mixed_highest_weight(w, rank, p),
-        "relevant": lambda w: is_relevant_orbit(w, rank, p, args.convention),
+    # Dominant, mixed and non-increasing relevant weights are all dominant:
+    # those filters walk the dominant chains only (None: no further test).
+    uplus = args.convention is GroupConvention.UPLUS
+    chains, predicate = {
+        "all": (False, None),
+        "dominant": (True, None),
+        "mixed": (True, lambda w: is_mixed_highest_weight(w, rank, p)),
+        "relevant": (uplus, lambda w: is_relevant_orbit(w, rank, p, args.convention)),
     }[args.filter_name]
-    weights = oracle.enumerate_box(rank, args.box, predicate, limit=args.limit)
+    weights = oracle.enumerate_box(rank, args.box, predicate, limit=args.limit, dominant=chains)
     _write(
         args.fmt,
         (w.to_json_dict() for w in weights),

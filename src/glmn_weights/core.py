@@ -146,23 +146,25 @@ def box_weights(M: int, N: int, lo: int, hi: int):
         yield Weight(coords[:M], coords[M:])
 
 
-def dominant_weights(M: int, N: int, lo: int, hi: int):
+def dominant_weights(M: int, N: int, lo: int, hi: int, lam_hi: int | None = None):
     """Yield the weights of box_weights(M, N, lo, hi) whose lambda and theta
-    are both non-increasing, in the same lexicographic order.
+    are both non-increasing, in the same lexicographic order.  With lam_hi,
+    the lambda entries range over [lo, lam_hi] instead of [lo, hi].
 
     An odometer over the coordinates: each is bounded above by the one
-    before it in its chain (by hi at the head of a chain), and stepping one
-    resets every later one to lo.  No other weight of the box is visited and
-    nothing is held beyond the coordinates of the current weight."""
+    before it in its chain (by lam_hi or hi at the head of a chain), and
+    stepping one resets every later one to lo.  No other weight is visited
+    and nothing is held beyond the coordinates of the current weight."""
+    top = hi if lam_hi is None else lam_hi
     n = M + N
-    if n and lo > hi:
+    if (n and lo > hi) or (M and lo > top):
         return
     coords = [lo] * n
     while True:
         yield Weight(tuple(coords[:M]), tuple(coords[M:]))
         k = n - 1
         while k >= 0:
-            if coords[k] < (hi if k == 0 or k == M else coords[k - 1]):
+            if coords[k] < (hi if k == M else top if k == 0 else coords[k - 1]):
                 coords[k] += 1
                 break
             coords[k] = lo

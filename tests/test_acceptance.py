@@ -129,6 +129,7 @@ def test_criterion_8_harness_falsifiability(monkeypatch):
     real = congruent_zero
     monkeypatch.setattr(serganova, "congruent_zero", lambda a, p: not real(a, p))
     inverted = verify_image(rank, mod, box, backend=pure)
+    inverted_theorem = verify_theorem(rank, mod, box, backend=pure)
     monkeypatch.undo()
 
     def shifted_b_range(w, rk, p, convention):
@@ -165,9 +166,20 @@ def test_criterion_8_harness_falsifiability(monkeypatch):
     swapped = verify_theorem(rank, mod, box, backend=pure)
     monkeypatch.undo()
 
+    # no chain condition: the theorem check sees non-dominant weights only
+    # as neighbours of dominant ones, and must still catch this
+    def chain_dropped(w, rk, p, convention):
+        return classify._vanishing_on_equalities(w.lam, w.theta, rk.M, p)
+
+    monkeypatch.setattr(classify, "is_relevant_orbit", chain_dropped)
+    dropped = verify_theorem(rank, mod, box, backend=pure)
+    monkeypatch.undo()
+
     ok = (
         len(inverted.failures) > 0
+        and len(inverted_theorem.failures) > 0
         and len(shifted.failures) > 0
         and len(swapped.failures) > 0
+        and len(dropped.failures) > 0
     )
     report("8 harness falsifiability", ok)

@@ -3,7 +3,16 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from glmn_weights import cli
+from glmn_weights.classify import (
+    GroupConvention,
+    is_mixed_highest_weight,
+    is_relevant_orbit,
+    is_standard_dominant,
+)
+from glmn_weights.core import Modulus, SuperRank, box_weights
 
 
 def invoke(args, stdin_text=""):
@@ -154,6 +163,43 @@ def test_enumerate_counts_and_filter():
         ["enumerate", "--M", "1", "--N", "2", "--box", "0:1", "--filter", "dominant"]
     )
     assert len(out.splitlines()) == 6
+
+
+def expected_enumerate_output(weights, M, N, fmt):
+    """What enumerate prints for these weights, written out here."""
+    objs = [{"lambda": list(w.lam), "theta": list(w.theta)} for w in weights]
+    if fmt == "json":
+        return json.dumps(objs) + "\n"
+    if fmt == "jsonl":
+        return "".join(json.dumps(obj) + "\n" for obj in objs)
+    header = [f"lambda_{i}" for i in range(1, M + 1)] + [f"theta_{j}" for j in range(1, N + 1)]
+    rows = [header] * bool(weights) + [w.lam + w.theta for w in weights]
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("fmt", ("jsonl", "json", "csv"))
+def test_enumerate_chain_filters_print_the_filtered_box(fmt):
+    # dominant, mixed and relevant under uplus walk the dominant chains; every
+    # filter must print byte for byte the box filtered by its predicate
+    for M, N, p, lo, hi in ((1, 2, 2, -1, 1), (2, 3, 3, -2, 1), (3, 4, 2, -1, 1)):
+        rank, mod = SuperRank(M, N), Modulus(p)
+        tests = (
+            ("dominant", "uplus", lambda w: is_standard_dominant(w, rank)),
+            ("mixed", "uplus", lambda w: is_mixed_highest_weight(w, rank, mod)),
+            ("relevant", "uplus",
+             lambda w: is_relevant_orbit(w, rank, mod, GroupConvention.UPLUS)),
+            # non-decreasing chains: this one still filters the whole box
+            ("relevant", "uminus",
+             lambda w: is_relevant_orbit(w, rank, mod, GroupConvention.UMINUS)),
+        )
+        for name, convention, test in tests:
+            code, out, _ = invoke(
+                ["enumerate", "--M", str(M), "--N", str(N), "--box", f"{lo}:{hi}", "--p", str(p),
+                 "--format", fmt, "--filter", name, "--convention", convention]
+            )
+            assert code == 0
+            weights = [w for w in box_weights(M, N, lo, hi) if test(w)]
+            assert out == expected_enumerate_output(weights, M, N, fmt), (M, N, name, convention)
 
 
 def test_enumerate_csv_header():

@@ -1,3 +1,4 @@
+from itertools import product
 from math import comb
 
 import pytest
@@ -138,6 +139,21 @@ def test_dominant_weights_are_the_dominant_box_weights(M, N, lo, hi):
     assert got == want  # same weights, same lexicographic order
     w = hi - lo + 1
     assert len(got) == comb(w + M - 1, M) * comb(w + N - 1, N)
+
+
+@pytest.mark.parametrize("M,N", ((0, 1), (1, 2), (2, 3), (3, 4)))
+@pytest.mark.parametrize("widen", (0, 1, 3))
+def test_dominant_weights_with_a_wider_lambda_range(M, N, widen):
+    lo, hi = -1, 1
+    got = list(dominant_weights(M, N, lo, hi, hi + widen))
+    want = [
+        Weight(lam, theta)
+        for lam in product(range(lo, hi + widen + 1), repeat=M)
+        for theta in product(range(lo, hi + 1), repeat=N)
+        if _non_increasing(lam) and _non_increasing(theta)
+    ]
+    assert got == want
+    assert len(got) == comb(3 + widen + M - 1, M) * comb(3 + N - 1, N)
 
 
 @pytest.mark.parametrize("M,N", ((0, 0), (0, 1), (1, 2)))

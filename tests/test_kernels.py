@@ -4,6 +4,7 @@ delegates to the public modules, so agreement pins the compiled kernels to
 the reference implementation; their failure reports, which correct steps
 never produce, are compared with a step replay written here."""
 
+import random
 import struct
 from itertools import product
 
@@ -164,6 +165,91 @@ def is_dominant(lam, theta):
     return list(lam) == sorted(lam, reverse=True) and list(theta) == sorted(theta, reverse=True)
 
 
+def is_member(lam, theta, p, steps):
+    """In the image of the dominant set: the inverse is dominant and maps
+    forward onto the weight again."""
+    pre = replay(lam, theta, p, steps, inverse=True)
+    return is_dominant(*pre) and replay(*pre, p, steps) == (tuple(lam), tuple(theta))
+
+
+def dominant_box(M, N, lo, hi, lam_hi):
+    """The dominant weights with lambda in [lo, lam_hi] and theta in [lo, hi],
+    in lexicographic order."""
+    return [
+        (lam, theta)
+        for lam in product(range(lo, lam_hi + 1), repeat=M)
+        for theta in product(range(lo, hi + 1), repeat=N)
+        if is_dominant(lam, theta)
+    ]
+
+
+def chain_walk_theorem(M, N, p, lo, hi, steps):
+    """The theorem scan written with replay: (total, uncapped failures).
+    Algorithmic side over the box widened by the (1, 1) steps in lambda, the
+    count of relevant dominant weights of the box, and the naming pass."""
+    rank, mod = SuperRank(M, N), Modulus(p)
+    widened = dominant_box(M, N, lo, hi, hi + sum(1 for s in steps if s == (1, 1)))
+    box = dominant_box(M, N, lo, hi, hi)
+
+    def pred(lam, theta):
+        return is_relevant_orbit(Weight(lam, theta), rank, mod, GroupConvention.UPLUS)
+
+    fails, hits = [], 0
+    for d in widened:
+        w = replay(*d, p, steps)
+        if not all(lo <= v <= hi for v in w[0] + w[1]):
+            continue
+        pulls = replay(*w, p, steps, inverse=True) == d
+        hits += pulls and is_dominant(*w)
+        if not pred(*w) and (pulls or is_member(*w, p, steps)):
+            fails.append(("theorem_mismatch", *w, False, True))
+    if hits != sum(pred(*w) for w in box) or fails:
+        fails += [
+            ("theorem_mismatch", *w, True, False)
+            for w in box
+            if pred(*w) and not is_member(*w, p, steps)
+        ]
+    return len(widened) + len(box), fails
+
+
+@pytest.mark.parametrize("M,N", ((1, 2), (2, 3), (3, 4)))
+def test_dominant_preimages_lie_in_the_widened_box(M, N):
+    # Forward only lowers lambda and raises theta, lambda_1 moves only at
+    # (1, 1) and theta_{M+1} never moves: so a dominant preimage of a box
+    # weight has lambda in [lo, hi + c], c the number of (1, 1) steps, and
+    # theta in [lo, hi].  Brute force over every box weight, for the
+    # canonical orders, reversed ones and random step lists with repeats.
+    rng = random.Random(M)
+    pairs = [(i, j) for i in range(1, M + 1) for j in range(1, i + 1)]
+    v1, v2 = steps_of(order_v1(M)), steps_of(order_v2(M))
+    step_lists = [v1, v2, v1[::-1], v2[::-1]]
+    step_lists += [tuple(rng.choices(pairs, k=2 * len(pairs))) for _ in range(4)]
+    step_lists.append(((1, 1),) * 3 + v1)
+    widest = 0
+    for steps in step_lists:
+        c = sum(1 for s in steps if s == (1, 1))
+        for p in (2, 3, 5):
+            for lo, hi in ((-1, 1), (-2, 1)):
+                for co in product(range(lo, hi + 1), repeat=M + N):
+                    lam, theta = replay(co[:M], co[M:], p, steps, inverse=True)
+                    if is_dominant(lam, theta):
+                        assert all(lo <= v <= hi + c for v in lam), (steps, p, co)
+                        assert all(lo <= v <= hi for v in theta), (steps, p, co)
+                        widest = max(widest, lam[0] - hi - c)
+    assert widest == 0  # the widening is needed: some preimage reaches hi + c
+
+
+@needs_compiled
+@pytest.mark.parametrize("p", (2, 3))
+def test_compiled_theorem_walk_widens_by_the_11_steps(p):
+    # step lists with no (1, 1) step, with one, and with three: the widened
+    # walk, and so the total and the failures, follow their count
+    v1 = steps_of(order_v1(2))
+    for steps in (v1[1:], v1, v1[::-1], ((1, 1),) * 2 + v1, ((2, 1), (2, 2)) * 2):
+        total, fails = chain_walk_theorem(2, 3, p, -1, 1, steps)
+        assert kernels.compiled.scan_theorem(2, 3, p, -1, 1, steps, 1000) == (total, fails)
+
+
 @needs_compiled
 def test_compiled_failure_reports():
     # Reversed steps are not a linear extension, so the scans must report
@@ -175,7 +261,7 @@ def test_compiled_failure_reports():
     rv1, rv2 = v1[::-1], steps_of(order_v2(M))[::-1]
     orders = (v1, rv1)
     box = [(c[:M], c[M:]) for c in product(range(lo, hi + 1), repeat=M + N)]
-    order_fails, theorem_fails = [], []
+    order_fails, box_mismatches = [], []
     for lam, theta in box:
         if is_dominant(lam, theta):
             ref = replay(lam, theta, p, v1)
@@ -183,17 +269,18 @@ def test_compiled_failure_reports():
                 if replay(lam, theta, p, order) != ref:
                     order_fails.append(("order_mismatch", lam, theta, idx))
         pred = is_relevant_orbit(Weight(lam, theta), rank, mod, GroupConvention.UPLUS)
-        pre = replay(lam, theta, p, rv1, inverse=True)
-        alg = is_dominant(*pre) and replay(*pre, p, rv1) == (lam, theta)
-        if pred != alg:
-            theorem_fails.append(("theorem_mismatch", lam, theta, pred, alg))
+        if pred != is_member(lam, theta, p, rv1):
+            box_mismatches.append(("theorem_mismatch", lam, theta, pred, not pred))
     dominant = sum(is_dominant(lam, theta) for lam, theta in box)
+    theorem_total, theorem_fails = chain_walk_theorem(M, N, p, lo, hi, rv1)
     assert len(order_fails) > 3 and len(theorem_fails) > 3
+    # every failure the chain walks name is a counterexample on the box
+    assert set(theorem_fails) <= set(box_mismatches)
     for cap in (1, 3, len(box)):
         total, fails = kernels.compiled.scan_order(M, N, p, lo, hi, v1, orders, cap)
         assert (total, fails) == (2 * dominant, order_fails[:cap])
         total, fails = kernels.compiled.scan_theorem(M, N, p, lo, hi, rv1, cap)
-        assert (total, fails) == (len(box), theorem_fails[:cap])
+        assert (total, fails) == (theorem_total, theorem_fails[:cap])
 
     image_kinds = {
         "forward_not_in_mixed", "inverse_forward_roundtrip",

@@ -1,11 +1,22 @@
 import json
 from dataclasses import replace
+from math import comb
 
 import pytest
 
 from glmn_weights import classify, kernels, serganova
 from glmn_weights.classify import GroupConvention
-from glmn_weights.core import CapacityError, Modulus, SuperRank, ValidationError, Weight, congruent_zero
+from glmn_weights.core import (
+    CapacityError,
+    InternalConsistencyError,
+    Modulus,
+    SuperRank,
+    ValidationError,
+    Weight,
+    box_weights,
+    congruent_zero,
+    dominant_weights,
+)
 from glmn_weights.oracle import (
     Box,
     enumerate_box,
@@ -43,6 +54,24 @@ def test_enumerate_box_limit():
         enumerate_box(SuperRank(2, 3), Box(-2, 2), limit=100)
     with pytest.raises(CapacityError):
         verify_image(SuperRank(2, 3), Modulus(2), Box(-2, 2), limit=100)
+
+
+def test_limit_counts_the_weights_a_check_visits():
+    # (2|3), box -2:2: 3,125 box weights, 525 dominant ones, and 735 in the
+    # theorem check's widened walk
+    rank, mod, box = SuperRank(2, 3), Modulus(2), Box(-2, 2)
+    with pytest.raises(CapacityError):
+        enumerate_box(rank, box, limit=1000)
+    with pytest.raises(CapacityError):
+        enumerate_box(rank, box, limit=1000, dominant=True)
+    assert verify_image(rank, mod, box, limit=1000).passed
+    for check in ("image", "order", "trace"):
+        assert run_check(check, rank, mod, box, limit=525).passed
+        with pytest.raises(CapacityError):
+            run_check(check, rank, mod, box, limit=524)
+    with pytest.raises(CapacityError, match="visits 1260 weights"):
+        verify_theorem(rank, mod, box, limit=1000)
+    assert verify_theorem(rank, mod, box, limit=1260).total == 1260
 
 
 def test_box_validation():
@@ -89,11 +118,13 @@ def test_verify_order_capacity():
 
 
 def test_verify_theorem_passes():
+    # total: the dominant weights of the box, and those of the box widened
+    # by one (the one (1, 1) step) in lambda
     for M, N in ((1, 2), (2, 3)):
         for p in (2, 5):
             report = verify_theorem(SuperRank(M, N), Modulus(p), Box(-2, 2))
             assert report.passed
-            assert report.total == 5 ** (M + N)
+            assert report.total == (comb(5 + M - 1, M) + comb(6 + M - 1, M)) * comb(5 + N - 1, N)
 
 
 def test_verify_theorem_rejects_exact_modulus():
@@ -239,6 +270,155 @@ def test_mutation_swapped_inequality_breaks_theorem(monkeypatch):
     report = verify_theorem(SuperRank(2, 3), Modulus(2), Box(-1, 1), backend=_pure())
     assert not report.passed
     assert len(report.failures) > 0
+
+
+def _chain_dropped(w, rank, p, convention):
+    # no chain condition at all: only the vanishing condition is tested
+    return classify._vanishing_on_equalities(w.lam, w.theta, rank.M, p)
+
+
+def _lambda_chain_dropped(w, rank, p, convention):
+    return classify._non_increasing(w.theta) and _chain_dropped(w, rank, p, convention)
+
+
+def _theta_chain_dropped(w, rank, p, convention):
+    return classify._non_increasing(w.lam) and _chain_dropped(w, rank, p, convention)
+
+
+@pytest.mark.parametrize("mutant", (_chain_dropped, _lambda_chain_dropped, _theta_chain_dropped))
+def test_mutation_chain_dropped_breaks_theorem(monkeypatch, mutant):
+    # the predicate side sees no non-dominant weight but the neighbours of
+    # the dominant ones; a dropped chain condition accepts some of them
+    monkeypatch.setattr(classify, "is_relevant_orbit", mutant)
+    report = verify_theorem(SuperRank(2, 3), Modulus(2), Box(-1, 1), backend=_pure())
+    assert not report.passed
+    assert any(
+        not classify.is_standard_dominant(Weight(f["weight"]["lambda"], f["weight"]["theta"]),
+                                          SuperRank(2, 3))
+        for f in report.failures
+    )
+
+
+def full_box_theorem(M, N, p, lo, hi, steps, failure_cap):
+    """The theorem scan over the whole box, a desk-scale reference: on every
+    box weight, the relevance predicate against membership in the image
+    (inverse dominant and round-tripping)."""
+    rank, mod = SuperRank(M, N), Modulus(p)
+    order = serganova.StepOrder(M, steps)
+    total = 0
+    failures = []
+    for w in box_weights(M, N, lo, hi):
+        total += 1
+        pred = classify.is_relevant_orbit(w, rank, mod, GroupConvention.UPLUS)
+        a, _ = serganova.inverse(w, mod, order, rank)
+        alg = (
+            classify.is_standard_dominant(a, rank)
+            and serganova.forward(a, mod, order, rank)[0] == w
+        )
+        if pred != alg and len(failures) < failure_cap:
+            failures.append(("theorem_mismatch", w.lam, w.theta, bool(pred), bool(alg)))
+    return total, failures
+
+
+def _inverted_congruence(monkeypatch):
+    monkeypatch.setattr(serganova, "congruent_zero", lambda a, p: not congruent_zero(a, p))
+
+
+THEOREM_MUTANTS = {
+    "intact": lambda mp: None,
+    "inverted-congruence": _inverted_congruence,
+    "shifted-b": lambda mp: mp.setattr(classify, "is_relevant_orbit", _shifted_b_range),
+    "swapped-inequality": lambda mp: mp.setattr(classify, "is_relevant_orbit", _swapped_inequality),
+    "chain-dropped": lambda mp: mp.setattr(classify, "is_relevant_orbit", _chain_dropped),
+}
+
+
+@pytest.mark.parametrize("mutant", THEOREM_MUTANTS)
+@pytest.mark.parametrize("M,N", ((1, 2), (2, 3), (3, 4)))
+def test_theorem_chain_walks_agree_with_the_full_box(monkeypatch, mutant, M, N):
+    # Same verdict as the whole-box reference, and every failure the chain
+    # walks name is one of its counterexamples.
+    THEOREM_MUTANTS[mutant](monkeypatch)
+    steps = serganova.order_v1(M).steps
+    for lo, hi, p in ((-1, 1, 2), (-1, 1, 3), (-2, 2, 3)):
+        _, want = full_box_theorem(M, N, p, lo, hi, steps, 10**9)
+        _, got = kernels.pure.scan_theorem(M, N, p, lo, hi, steps, 10**9)
+        assert bool(got) == bool(want) == (mutant != "intact"), (lo, hi, p)
+        assert set(got) <= set(want)
+
+
+def test_theorem_hits_must_pull_back(monkeypatch):
+    # forward sends a second dominant weight onto the image of the first:
+    # counted twice, that image would stand in for the one it hides, so the
+    # hidden image must be named
+    rank, mod, box = SuperRank(1, 2), Modulus(2), Box(-1, 1)
+    order, real = serganova.order_v1(1), serganova.forward
+    hits = [
+        (d, w)
+        for d in dominant_weights(1, 2, -1, 1, 2)
+        for w in [real(d, mod, order, rank)[0]]
+        if all(-1 <= v <= 1 for v in w.lam + w.theta)
+    ]
+    (d1, _), (d2, w2) = hits[:2]
+
+    def forward(w, p, order, rank):
+        return real(d1 if w == d2 else w, p, order, rank)
+
+    assert verify_theorem(rank, mod, box, backend=_pure()).passed
+    monkeypatch.setattr(serganova, "forward", forward)
+    report = verify_theorem(rank, mod, box, backend=_pure())
+    assert [f["weight"] for f in report.failures] == [w2.to_json_dict()]
+
+
+def test_theorem_hits_must_be_dominant(monkeypatch):
+    # forward sends one dominant weight to a non-dominant one (its image with
+    # two theta entries swapped), which inverse and the predicate accept: that
+    # hit must not stand in for the dominant image it displaced
+    rank, mod, box = SuperRank(1, 2), Modulus(2), Box(-1, 1)
+    order = serganova.order_v1(1)
+    real_forward, real_inverse, real_pred = (
+        serganova.forward, serganova.inverse, classify.is_relevant_orbit)
+    d0, w0 = next(
+        (d, w)
+        for d in dominant_weights(1, 2, -1, 1, 2)
+        for w in [real_forward(d, mod, order, rank)[0]]
+        if all(-1 <= v <= 1 for v in w.lam + w.theta) and w.theta[0] != w.theta[1]
+    )
+    swapped = Weight(w0.lam, w0.theta[::-1])
+
+    def forward(w, p, order, rank):
+        out, tr = real_forward(w, p, order, rank)
+        return (swapped if w == d0 else out), tr
+
+    def inverse(w, p, order, rank):
+        return real_inverse(w0 if w == swapped else w, p, order, rank)
+
+    monkeypatch.setattr(serganova, "forward", forward)
+    monkeypatch.setattr(serganova, "inverse", inverse)
+    monkeypatch.setattr(
+        classify, "is_relevant_orbit", lambda w, *args: w == swapped or real_pred(w, *args))
+    report = verify_theorem(rank, mod, box, backend=_pure())
+    assert [f["weight"] for f in report.failures] == [w0.to_json_dict()]
+
+
+def test_theorem_scan_refuses_a_transform_that_leaves_the_walk(monkeypatch):
+    # forward and inverse still undo each other, but forward lowers lambda_1
+    # by two more than its steps: dominant preimages then lie beyond the
+    # widened walk, the counts differ with no weight to name, and the scan
+    # must raise rather than pass
+    real_forward, real_inverse = serganova.forward, serganova.inverse
+
+    def forward(w, p, order, rank):
+        out, tr = real_forward(w, p, order, rank)
+        return Weight((out.lam[0] - 2,) + out.lam[1:], out.theta), tr
+
+    def inverse(w, p, order, rank):
+        return real_inverse(Weight((w.lam[0] + 2,) + w.lam[1:], w.theta), p, order, rank)
+
+    monkeypatch.setattr(serganova, "forward", forward)
+    monkeypatch.setattr(serganova, "inverse", inverse)
+    with pytest.raises(InternalConsistencyError, match="outside the walk"):
+        verify_theorem(SuperRank(1, 2), Modulus(2), Box(-1, 1), backend=_pure())
 
 
 def test_mutation_failures_are_capped_and_ordered(monkeypatch):
