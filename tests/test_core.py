@@ -160,6 +160,9 @@ def test_dominant_weights_with_a_wider_lambda_range(M, N, widen):
 def test_dominant_weights_of_an_empty_range(M, N):
     # like box_weights: no coordinates give the one empty weight, else none
     assert list(dominant_weights(M, N, 1, 0)) == list(box_weights(M, N, 1, 0))
+    # an empty lambda range: no weight, unless there is no lambda
+    want = list(box_weights(M, N, 0, 0)) if M == 0 else []
+    assert list(dominant_weights(M, N, 0, 0, -1)) == want
 
 
 @pytest.mark.parametrize("lo,hi", ((0, 0), (0, 1)))
