@@ -14,7 +14,7 @@ substitute deliberately broken variants.
 from __future__ import annotations
 
 from . import classify, serganova
-from .classify import GroupConvention
+from .classify import GroupConvention, _non_increasing
 from .core import (
     InternalConsistencyError,
     Modulus,
@@ -45,18 +45,18 @@ def scan_image(M, N, p, lo, hi, steps, failure_cap):
 
     for w in dominant_weights(M, N, lo, hi):
         total += 1
-        m, _ = serganova.forward(w, mod, order, rank)
+        m = serganova.forward(w, mod, order, rank)
         if not classify.is_mixed_highest_weight(m, rank, mod):
             note("forward_not_in_mixed", w)
-        back, _ = serganova.inverse(m, mod, order, rank)
+        back = serganova.inverse(m, mod, order, rank)
         if back != w:
             note("inverse_forward_roundtrip", w)
         if classify.is_mixed_highest_weight(w, rank, mod):
             total += 1
-            a, _ = serganova.inverse(w, mod, order, rank)
+            a = serganova.inverse(w, mod, order, rank)
             if not classify.is_standard_dominant(a, rank):
                 note("inverse_not_in_dominant", w)
-            m2, _ = serganova.forward(a, mod, order, rank)
+            m2 = serganova.forward(a, mod, order, rank)
             if m2 != w:
                 note("forward_inverse_roundtrip", w)
     return total, failures
@@ -65,22 +65,11 @@ def scan_image(M, N, p, lo, hi, steps, failure_cap):
 def scan_theorem(M, N, p, lo, hi, steps, failure_cap):
     """Certify, walking dominant chains only, that the relevance predicate
     (non-increasing convention) picks out the image of the dominant set
-    inside the box.
-
-    Algorithmic side: the dominant d with lambda in [lo, hi + c] and theta
-    in [lo, hi], c the number of (1, 1) steps, which hold every dominant
-    preimage of a box weight.  Each w = forward(d) inside the box must
-    satisfy the predicate; it is a hit when it pulls back (inverse(w) == d,
-    so hits are distinct), is accepted and is dominant.  Predicate side:
-    the dominant weights of the box, counting the accepted ones; each
-    non-dominant neighbour (two adjacent unequal entries of lambda or theta
-    swapped) must be rejected.  Equal counts make the two sets equal.  When
-    they differ or a failure was noted, a last pass names the accepted
-    dominant weights that fail the membership test (inverse dominant and
-    round-tripping).  A failure is a weight on which the predicate and that
-    test disagree; `total` counts the weights of both walks.  Counts that
-    differ with no such weight found mean the transform broke the bound of
-    the widened walk: InternalConsistencyError."""
+    inside the box: the walks, their argument and the order of the failures
+    are those of the theorem check in the oracle module docstring.  `total`
+    counts the weights of both walks.  Counts that differ with no failing
+    weight found mean the transform broke the bound of the widened walk:
+    InternalConsistencyError."""
     rank = SuperRank(M, N)
     mod = Modulus(p)
     order = StepOrder(M, steps)
@@ -97,16 +86,16 @@ def scan_theorem(M, N, p, lo, hi, steps, failure_cap):
             failures.append(("theorem_mismatch", w.lam, w.theta, pred, alg))
 
     def member(w):
-        a, _ = inverse(w, mod, order, rank)
-        return dominant(a, rank) and forward(a, mod, order, rank)[0] == w
+        a = inverse(w, mod, order, rank)
+        return dominant(a, rank) and forward(a, mod, order, rank) == w
 
     for d in dominant_weights(M, N, lo, hi, hi + c):
         total += 1
-        w, _ = forward(d, mod, order, rank)
+        w = forward(d, mod, order, rank)
         coords = w.lam + w.theta
         if min(coords) < lo or max(coords) > hi:
             continue
-        pulls = inverse(w, mod, order, rank)[0] == d
+        pulls = inverse(w, mod, order, rank) == d
         if relevant(w, rank, mod, uplus):
             if pulls and dominant(w, rank):
                 hits += 1
@@ -145,23 +134,20 @@ def _neighbours(lam, theta):
             yield lam, theta[:k] + (theta[k + 1], theta[k]) + theta[k + 2 :]
 
 
-def scan_order(M, N, p, lo, hi, ref_steps, orders, failure_cap):
+def scan_order(M, N, p, lo, hi, orders, failure_cap):
     """Check that every supplied step order gives the same result as the
-    reference order on each dominant weight in the box."""
+    first one on each dominant weight in the box."""
     rank = SuperRank(M, N)
     mod = Modulus(p)
-    ref_order = StepOrder(M, ref_steps)
     step_orders = [StepOrder(M, s) for s in orders]
     total = 0
     failures = []
     for w in dominant_weights(M, N, lo, hi):
-        ref, _ = serganova.forward(w, mod, ref_order, rank)
-        for idx, o in enumerate(step_orders):
-            total += 1
-            out, _ = serganova.forward(w, mod, o, rank)
-            if out != ref:
-                if len(failures) < failure_cap:
-                    failures.append(("order_mismatch", w.lam, w.theta, idx))
+        outs = [serganova.forward(w, mod, o, rank) for o in step_orders]
+        total += len(outs)
+        for idx, out in enumerate(outs):
+            if out != outs[0] and len(failures) < failure_cap:
+                failures.append(("order_mismatch", w.lam, w.theta, idx))
     return total, failures
 
 
@@ -182,24 +168,17 @@ def scan_trace(M, N, p, lo, hi, steps_v1, steps_v2, failure_cap):
         if len(failures) < failure_cap:
             failures.append((kind, w.lam, w.theta, k))
 
-    def down(seq):
-        return all(seq[a] >= seq[a + 1] for a in range(len(seq) - 1))
-
     for w in dominant_weights(M, N, lo, hi):
         total += 1
         base = sum(w.lam) + sum(w.theta)
         dummies = w.theta[M + 1 :]
-        for tag, order in (("v1", o1), ("v2", o2)):
+        for tag, order, chain in (("v1", o1, "lambda"), ("v2", o2, "theta")):
             # the records hold every state, the result included: no
             # separate forward run is needed
             for rec in serganova.Trace(serganova.Direction.FORWARD, order, w, mod).records:
                 st = rec.state_after
-                if tag == "v1":
-                    if not down(st.lam):
-                        note("lambda_monotone_v1", w, rec.k)
-                else:
-                    if not down(st.theta[: M + 1]):
-                        note("theta_monotone_v2", w, rec.k)
+                if not _non_increasing(st.lam if tag == "v1" else st.theta[: M + 1]):
+                    note(f"{chain}_monotone_{tag}", w, rec.k)
                 if sum(st.lam) + sum(st.theta) != base:
                     note(f"sum_conservation_{tag}", w, rec.k)
                 after = st.lam[rec.pair.i - 1] + st.theta[rec.pair.j - 1]

@@ -360,16 +360,15 @@ in_box(const long *w, Py_ssize_t n, long lo, long hi)
     return 1;
 }
 
-/* The walks, totals and failure order are those of the pure scan_theorem:
-   the algorithmic side over the dominant weights with lambda in
-   [lo, hi + c] (c the number of (1, 1) steps), the predicate side over the
-   dominant weights of the box, and the naming pass.  Two tests of the pure
-   scan cannot fail here and are left out: every hit pulls back, since
-   forward and inverse here undo each other step by step; and no
-   non-dominant neighbour is accepted, since the relevance predicate in the
-   non-increasing convention (both chains non-increasing, and the diagonal
-   sum vanishing wherever adjacent chain entries are equal) is exactly the
-   mixed condition, which tests the chains first. */
+/* The walks, their argument and the failure order are those of the theorem
+   check in the glmn_weights.oracle module docstring, and the totals those
+   of the pure scan_theorem.  Two tests of the pure scan cannot fail here
+   and are left out: every hit pulls back, since forward and inverse here
+   undo each other step by step; and no non-dominant neighbour is accepted,
+   since the relevance predicate in the non-increasing convention (both
+   chains non-increasing, and the diagonal sum vanishing wherever adjacent
+   chain entries are equal) is exactly the mixed condition, which tests the
+   chains first. */
 static PyObject *
 scan_theorem(PyObject *self, PyObject *args)
 {
@@ -432,20 +431,23 @@ fail:
 static PyObject *
 scan_order(PyObject *self, PyObject *args)
 {
-    Py_ssize_t M, N, n, ns, cap, n_orders;
+    Py_ssize_t M, N, n, ns = 0, cap, n_orders;
     long p, lo, hi, total = 0;
-    PyObject *ref_steps, *orders, *seq = NULL, *failures = NULL;
-    int ri[MAXSTEPS], rj[MAXSTEPS], *osi = NULL, *osj = NULL;
-    long coords[MAXN], ref[MAXN], work[MAXN];
+    PyObject *orders, *seq = NULL, *failures = NULL;
+    int si[MAXSTEPS], sj[MAXSTEPS], *osi = NULL, *osj = NULL;
+    long coords[MAXN], first[MAXN], work[MAXN];
 
-    if (!PyArg_ParseTuple(args, "nnlllOOn:scan_order", &M, &N, &p, &lo, &hi, &ref_steps,
-                          &orders, &cap)
-        || check_box(M, N, lo, hi) < 0
-        || (ns = load_steps(ref_steps, M, ri, rj, MAXSTEPS, TOO_MANY_STEPS)) < 0)
+    if (!PyArg_ParseTuple(args, "nnlllOn:scan_order", &M, &N, &p, &lo, &hi, &orders, &cap)
+        || check_box(M, N, lo, hi) < 0)
         return NULL;
     if ((seq = PySequence_Fast(orders, "orders must be a sequence of step lists")) == NULL)
         return NULL;
     n_orders = PySequence_Fast_GET_SIZE(seq);
+    /* the first order, loaded here to count its steps, sets that of every order */
+    if (n_orders > 0
+        && (ns = load_steps(PySequence_Fast_GET_ITEM(seq, 0), M, si, sj, MAXSTEPS,
+                            TOO_MANY_STEPS)) < 0)
+        goto fail;
     osi = PyMem_New(int, n_orders * ns + 1);
     osj = PyMem_New(int, n_orders * ns + 1);
     if (osi == NULL || osj == NULL) {
@@ -468,13 +470,13 @@ scan_order(PyObject *self, PyObject *args)
     n = M + N;
     first_weight(coords, lo);
     do {
-        copy(ref, coords, n);
-        forward(ref, p, ri, rj, ns);
-        for (Py_ssize_t o = 0; o < n_orders; o++) {
-            total++;
+        copy(first, coords, n);
+        forward(first, p, osi, osj, ns);
+        total += n_orders;
+        for (Py_ssize_t o = 1; o < n_orders; o++) {
             copy(work, coords, n);
             forward(work, p, osi + o * ns, osj + o * ns, ns);
-            if (!equal(work, ref, n)
+            if (!equal(work, first, n)
                 && note(failures, cap, "order_mismatch", coords, M, N, "(n)", o) < 0)
                 goto fail;
         }
@@ -560,8 +562,8 @@ static PyMethodDef methods[] = {
      "scan_theorem($module, M, N, p, lo, hi, steps, failure_cap, /)\n--\n\n"
      "Predicate vs algorithm, over dominant chains of the box and of a widened box."},
     {"scan_order", scan_order, METH_VARARGS,
-     "scan_order($module, M, N, p, lo, hi, ref_steps, orders, failure_cap, /)\n--\n\n"
-     "Every supplied order vs the reference order, on dominant weights."},
+     "scan_order($module, M, N, p, lo, hi, orders, failure_cap, /)\n--\n\n"
+     "Every supplied order vs the first one, on dominant weights."},
     {"scan_trace", scan_trace, METH_VARARGS,
      "scan_trace($module, M, N, p, lo, hi, steps_v1, steps_v2, failure_cap, /)\n--\n\n"
      "Per-step invariants over both canonical orders, on dominant weights."},

@@ -13,7 +13,7 @@ import csv
 import json
 import sys
 
-from . import oracle
+from . import oracle, serganova
 from .classify import (
     GroupConvention,
     is_mixed_highest_weight,
@@ -83,7 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--p", type=int, default=0, help="modulus for mixed/relevant filters")
     sp.add_argument("--convention", choices=("uminus", "uplus"), default="uplus")
-    sp.add_argument("--limit", type=int, default=oracle.DEFAULT_LIMIT)
+    sp.add_argument("--limit", type=int, default=oracle.DEFAULT_LIMIT,
+                    help="max weights the enumeration visits")
     sp.add_argument("--format", dest="fmt", choices=("jsonl", "json", "csv"), default="jsonl")
 
     sp = sub.add_parser("verify", help="run exhaustive checks over a coordinate box")
@@ -95,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=(*oracle.CHECK_NAMES, "all"),
         default="all",
     )
-    sp.add_argument("--cap", type=int, default=oracle.DEFAULT_EXTENSION_CAP,
+    sp.add_argument("--cap", type=int, default=serganova.DEFAULT_EXTENSION_CAP,
                     help="max linear extensions for the order check")
     sp.add_argument("--limit", type=int, default=oracle.DEFAULT_LIMIT,
                     help="max weights a check visits")
@@ -268,12 +269,12 @@ def _trace_json(tr):
 
 def _run_transform(args, fin, fout, ferr):
     fn = forward if args.direction == "forward" else inverse
+    direction = serganova.Direction(args.direction)
 
     def convert(w):
-        out, tr = fn(w, args.p, args.order, args.rank)
-        obj = out.to_json_dict()
+        obj = fn(w, args.p, args.order, args.rank).to_json_dict()
         if args.trace:
-            obj["trace"] = _trace_json(tr)
+            obj["trace"] = _trace_json(serganova.Trace(direction, args.order, w, args.p))
         return obj
 
     return _stream(args, fin, fout, ferr, convert)

@@ -15,10 +15,11 @@ dominant weights with lambda in [lo, hi + c] and theta in [lo, hi], where c
 is the number of (1, 1) steps (1 for every linear extension): forward only
 lowers lambda and raises theta, lambda_1 moves only at (1, 1) and
 theta_{M+1} never moves, so this holds every dominant preimage of a box
-weight.  Each image inside the box must satisfy the predicate and pull back
-to its preimage, which makes the hits distinct.  Its predicate side walks
-the dominant weights of the box and counts the relevant ones; equal counts
-make the two sets equal on the dominant weights.  The predicate side also
+weight.  Each image inside the box must satisfy the predicate; it counts as
+a hit when it also pulls back to its preimage, which makes the hits
+distinct, and is dominant.  Its predicate side walks the dominant weights
+of the box and counts the relevant ones; equal hit and relevant counts make
+the two sets equal on the dominant weights.  The predicate side also
 asks the predicate about every non-dominant neighbour of a dominant weight
 (two adjacent unequal entries of lambda or theta swapped) and requires a
 rejection.  So a predicate that drops or reverses a chain condition still
@@ -32,14 +33,16 @@ dominant and round-tripping) disagree: first the images the predicate
 rejects, in the order of their preimages; then the accepted neighbours, in
 the order of the dominant weights they neighbour; then, when the counts
 differ or a failure was found, the relevant dominant weights outside the
-image, in lexicographic order.
+image, in lexicographic order.  Counts that differ with no such weight
+mean a dominant preimage lies outside the widened walk, and the scan
+raises rather than pass.
 
 A report's `total` counts the instances tested: for the theorem check, the
 weights of both walks.  The enumeration limit counts the weights a check
-visits (for enumerate_box, the whole box), from a closed form computed
-before the walk.  Enumeration is lexicographic and streaming, so reports
-are deterministic and memory use stays flat; failure lists are capped
-without affecting the verdict.
+or enumerate_box visits, from a closed form computed before the walk.
+Enumeration is lexicographic and streaming, so reports are deterministic
+and memory use stays flat; failure lists are capped without affecting the
+verdict.
 
 The compiled backend computes in C long on at most 64 coordinates and
 enforces those bounds itself: its scans refuse with OverflowError any rank,
@@ -62,11 +65,10 @@ from .core import (
     box_weights,
     dominant_weights,
 )
-from .serganova import all_linear_extensions, order_v1, order_v2
+from .serganova import DEFAULT_EXTENSION_CAP, all_linear_extensions, order_v1, order_v2
 
 DEFAULT_LIMIT = 10_000_000
 DEFAULT_FAILURE_CAP = 20
-DEFAULT_EXTENSION_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -132,9 +134,10 @@ def enumerate_box(
     """Yield every weight with all coordinates in [lo, hi], lexicographically,
     optionally filtered by a predicate on the weight.  With dominant=True
     only the dominant weights are walked, in the same order; the limit
-    counts the whole box either way."""
-    what = f"box {box.lo}:{box.hi} at rank ({rank.M}|{rank.N}) holds"
-    _require_within_limit(box.count(rank), limit, what)
+    counts the weights walked."""
+    count = box.dominant_count(rank) if dominant else box.count(rank)
+    what = f"enumeration at rank ({rank.M}|{rank.N}), box {box.lo}:{box.hi} visits"
+    _require_within_limit(count, limit, what)
     walk = dominant_weights if dominant else box_weights
     weights = walk(rank.M, rank.N, box.lo, box.hi)
     return weights if predicate is None else filter(predicate, weights)
@@ -172,7 +175,7 @@ def _scan(name, rank: SuperRank, p: Modulus, box: Box, limit, failure_cap, backe
     for kind, lam, theta, *extra in fails:
         failure = {"kind": kind, "weight": {"lambda": list(lam), "theta": list(theta)}}
         if name == "order":  # the scan names the order by its index in orders
-            extra = [[list(s) for s in steps[1][extra[0]]]]
+            extra = [[list(s) for s in steps[0][extra[0]]]]
         failure.update(zip(_FAILURE_FIELDS[name], extra))
         failures.append(failure)
     return VerificationReport(name, total, tuple(failures), be.name)
@@ -209,10 +212,10 @@ def verify_order_invariance(
     backend=None,
 ) -> VerificationReport:
     """Check that every linear extension of the pair order transforms each
-    dominant weight in the box to the same result as the column order."""
+    dominant weight in the box to the same result as the first one, the
+    column order."""
     orders = tuple(o.steps for o in all_linear_extensions(rank.M, cap))
-    ref = order_v1(rank.M).steps
-    return _scan("order", rank, p, box, limit, failure_cap, backend, ref, orders)
+    return _scan("order", rank, p, box, limit, failure_cap, backend, orders)
 
 
 def verify_theorem(

@@ -14,10 +14,12 @@ integer weights.
 Only theta entries 1..M can ever move (j <= i <= M), so theta_{M+1} and
 any trailing entries ride along unchanged.
 
+`forward` and `inverse` map a weight to a weight and return nothing else.
 The transform core (`_apply`) works on two int lists and builds no
-intermediate weights.  A `Trace` stores only the input, the modulus and the
-order; its per-step records are computed on first read, by replaying the
-same core, so a caller that never reads them pays nothing for them.
+intermediate weights.  A caller that reads the steps builds
+`Trace(direction, order, w, p)` itself; the trace stores only those four
+and computes its per-step records on first read, by replaying the same
+core.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from functools import cached_property
 
 from .core import (
     CapacityError,
+    DimensionMismatch,
     Modulus,
     SuperRank,
     ValidationError,
@@ -37,6 +40,8 @@ from .core import (
     congruent_zero,
 )
 from .roots import PairIndex, all_pairs, pair_leq
+
+DEFAULT_EXTENSION_CAP = 10_000
 
 
 class Action(Enum):
@@ -94,7 +99,9 @@ class StepRecord:
 class Trace:
     """The run of one transform: its direction, the order used, and the
     weight and modulus it started from.  `records` (one StepRecord per step)
-    is computed on first read by replaying the run, then cached."""
+    is computed on first read by replaying the run, then cached; it raises
+    DimensionMismatch unless the start has M = order_used.M lambda entries
+    and more than M theta entries."""
 
     direction: Direction
     order_used: StepOrder
@@ -103,8 +110,11 @@ class Trace:
 
     @cached_property
     def records(self) -> tuple[StepRecord, ...]:
-        lam = list(self.start.lam)
-        theta = list(self.start.theta)
+        lam, theta, M = list(self.start.lam), list(self.start.theta), self.order_used.M
+        if not len(lam) == M < len(theta):
+            raise DimensionMismatch(
+                f"trace start of shape ({len(lam)}|{len(theta)}) does not fit an order for M={M}"
+            )
         records: list[StepRecord] = []
         _apply(lam, theta, self.p, self.order_used, self.direction, records)
         return tuple(records)
@@ -120,7 +130,7 @@ def order_v2(M: int) -> StepOrder:
     return StepOrder(M, tuple(PairIndex(i, j) for i in range(M, 0, -1) for j in range(1, i + 1)))
 
 
-def all_linear_extensions(M: int, cap: int = 10_000) -> list[StepOrder]:
+def all_linear_extensions(M: int, cap: int = DEFAULT_EXTENSION_CAP) -> list[StepOrder]:
     """Enumerate every linear extension of the excess-pair order.
 
     Backtracks over the poset, trying candidates in lexicographic pair order,
@@ -154,29 +164,24 @@ def all_linear_extensions(M: int, cap: int = 10_000) -> list[StepOrder]:
     return found
 
 
-def _require(w: Weight, order: StepOrder, rank: SuperRank) -> None:
+def forward(w: Weight, p: Modulus, order: StepOrder, rank: SuperRank) -> Weight:
+    """Run the transform toward the mixed Borel and return its result."""
+    return _run(w, p, order, rank, Direction.FORWARD)
+
+
+def inverse(w: Weight, p: Modulus, order: StepOrder, rank: SuperRank) -> Weight:
+    """Run the inverse transform (reverse traversal, unit moves undone)."""
+    return _run(w, p, order, rank, Direction.INVERSE)
+
+
+def _run(w: Weight, p: Modulus, order: StepOrder, rank: SuperRank, direction: Direction) -> Weight:
     w.require_rank(rank)
     if order.M != rank.M:
         raise ValidationError(f"step order is for M={order.M}, rank has M={rank.M}")
-
-
-def forward(w: Weight, p: Modulus, order: StepOrder, rank: SuperRank) -> tuple[Weight, Trace]:
-    """Run the transform toward the mixed Borel; returns result and trace."""
-    _require(w, order, rank)
-    return _run(w, p, order, Direction.FORWARD)
-
-
-def inverse(w: Weight, p: Modulus, order: StepOrder, rank: SuperRank) -> tuple[Weight, Trace]:
-    """Run the inverse transform (reverse traversal, unit moves undone)."""
-    _require(w, order, rank)
-    return _run(w, p, order, Direction.INVERSE)
-
-
-def _run(w: Weight, p: Modulus, order: StepOrder, direction: Direction) -> tuple[Weight, Trace]:
     lam = list(w.lam)
     theta = list(w.theta)
     _apply(lam, theta, p, order, direction)
-    return _valid_weight(tuple(lam), tuple(theta)), Trace(direction, order, w, p)
+    return _valid_weight(tuple(lam), tuple(theta))
 
 
 def _apply(

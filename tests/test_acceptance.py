@@ -15,7 +15,15 @@ from glmn_weights.oracle import (
     verify_trace_invariants,
 )
 from glmn_weights.roots import all_pairs, excess_pairs, pair_leq
-from glmn_weights.serganova import all_linear_extensions, forward, inverse, order_v1, order_v2
+from glmn_weights.serganova import (
+    Direction,
+    Trace,
+    all_linear_extensions,
+    forward,
+    inverse,
+    order_v1,
+    order_v2,
+)
 
 
 def report(name, ok):
@@ -40,12 +48,12 @@ def test_criterion_2_bijectivity_roundtrip():
         mod = Modulus(p)
         order = order_v1(2)
         for w in enumerate_box(rank, box):
-            fwd, _ = forward(w, mod, order, rank)
-            ok = ok and inverse(fwd, mod, order, rank)[0] == w
+            fwd = forward(w, mod, order, rank)
+            ok = ok and inverse(fwd, mod, order, rank) == w
         mixed = lambda w: classify.is_mixed_highest_weight(w, rank, mod)
         for m in enumerate_box(rank, box, mixed):
-            inv, _ = inverse(m, mod, order, rank)
-            ok = ok and forward(inv, mod, order, rank)[0] == m
+            inv = inverse(m, mod, order, rank)
+            ok = ok and forward(inv, mod, order, rank) == m
     report("2 bijectivity roundtrip", ok)
 
 
@@ -92,8 +100,7 @@ def test_criterion_5_trace_invariants():
     mod = Modulus(2)
     for w in enumerate_box(rank, Box(-1, 1)):
         for order in (order_v1(2), order_v2(2)):
-            _, tr = forward(w, mod, order, rank)
-            for rec in tr.records:
+            for rec in Trace(Direction.FORWARD, order, w, mod).records:
                 ok = ok and rec.state_after.theta[3:] == w.theta[3:]
     report("5 trace invariants", ok)
 

@@ -50,6 +50,45 @@ def test_transform_trace_flag():
     ]
 
 
+# transform --trace output at (2|3), p = 3, column order, in both directions,
+# pinned byte for byte
+TRACE_INPUT = '{"lambda":[2,0],"theta":[1,1,-1]}\n{"lambda":[1,1],"theta":[0,0,0]}\n'
+TRACE_FORWARD = (
+    '{"lambda": [1, -1], "theta": [3, 1, -1], "trace": [{"k": 1, "pair": [2, 1], '
+    '"action": "move", "sum_before": 1, "state_after": {"lambda": [2, -1], '
+    '"theta": [2, 1, -1]}}, {"k": 2, "pair": [1, 1], "action": "move", '
+    '"sum_before": 4, "state_after": {"lambda": [1, -1], "theta": [3, 1, -1]}}, '
+    '{"k": 3, "pair": [2, 2], "action": "noop", "sum_before": 0, '
+    '"state_after": {"lambda": [1, -1], "theta": [3, 1, -1]}}]}\n'
+    '{"lambda": [0, 0], "theta": [2, 0, 0], "trace": [{"k": 1, "pair": [2, 1], '
+    '"action": "move", "sum_before": 1, "state_after": {"lambda": [1, 0], "theta": [1, '
+    '0, 0]}}, {"k": 2, "pair": [1, 1], "action": "move", "sum_before": 2, '
+    '"state_after": {"lambda": [0, 0], "theta": [2, 0, 0]}}, {"k": 3, "pair": [2, 2], '
+    '"action": "noop", "sum_before": 0, "state_after": {"lambda": [0, 0], "theta": [2, '
+    '0, 0]}}]}\n'
+)
+TRACE_INVERSE = (
+    '{"lambda": [2, 2], "theta": [0, 0, -1], "trace": [{"k": 1, "pair": [2, 2], '
+    '"action": "move", "sum_before": 1, "state_after": {"lambda": [2, 1], "theta": [1, '
+    '0, -1]}}, {"k": 2, "pair": [1, 1], "action": "noop", "sum_before": 3, '
+    '"state_after": {"lambda": [2, 1], "theta": [1, 0, -1]}}, {"k": 3, "pair": [2, 1], '
+    '"action": "move", "sum_before": 2, "state_after": {"lambda": [2, 2], "theta": [0, '
+    '0, -1]}}]}\n'
+    '{"lambda": [2, 3], "theta": [-2, -1, 0], "trace": [{"k": 1, "pair": [2, 2], '
+    '"action": "move", "sum_before": 1, "state_after": {"lambda": [1, 2], "theta": [0, '
+    '-1, 0]}}, {"k": 2, "pair": [1, 1], "action": "move", "sum_before": 1, '
+    '"state_after": {"lambda": [2, 2], "theta": [-1, -1, 0]}}, {"k": 3, "pair": [2, '
+    '1], "action": "move", "sum_before": 1, "state_after": {"lambda": [2, 3], '
+    '"theta": [-2, -1, 0]}}]}\n'
+)
+
+
+def test_transform_trace_output_is_unchanged():
+    base = ["transform", "--M", "2", "--N", "3", "--p", "3", "--trace"]
+    for direction, want in (("forward", TRACE_FORWARD), ("inverse", TRACE_INVERSE)):
+        assert invoke([*base, "--direction", direction], TRACE_INPUT) == (0, want, "")
+
+
 def test_transform_roundtrip_reproduces_input():
     weights = '{"lambda":[2,0],"theta":[1,1,-1]}\n{"lambda":[0,0],"theta":[0,0,0]}\n'
     base = ["--M", "2", "--N", "3", "--p", "3"]
@@ -225,6 +264,17 @@ def test_enumerate_relevant_filter():
     assert all(obj["theta"][0] <= obj["theta"][1] for obj in got)
 
 
+def test_enumerate_limit_counts_the_dominant_walk():
+    # (1|2), box 0:1: 6 dominant weights out of 8
+    base = ["enumerate", "--M", "1", "--N", "2", "--box", "0:1", "--filter", "dominant"]
+    code, out, err = invoke([*base, "--limit", "6"])
+    assert (code, len(out.splitlines()), err) == (0, 6, "")
+    code, out, err = invoke([*base, "--limit", "5"])
+    assert (code, out) == (3, "") and "visits 6 weights" in err
+    code, _, err = invoke([*base[:-2], "--limit", "6"])
+    assert code == 3 and "visits 8 weights" in err
+
+
 def test_roots_custom_omega():
     code, out, _ = invoke(["roots", "--M", "1", "--N", "2", "--omega", "2,1,3"])
     assert code == 0
@@ -270,7 +320,9 @@ def test_defaulted_flags_match_their_defaults():
     box = ["enumerate", "--M", "1", "--N", "2", "--box", "-1:1"]
     assert invoke(box) == invoke([*box, "--p", "0", "--filter", "all"])
     verify = ["verify", "--M", "1", "--N", "2", "--p", "2", "--box", "-1:1"]
-    assert invoke(verify) == invoke([*verify, "--check", "all", "--failure-cap", "20"])
+    assert invoke(verify) == invoke(
+        [*verify, "--check", "all", "--failure-cap", "20", "--cap", "10000", "--limit", "10000000"]
+    )
 
 
 def test_verify_rank_beyond_the_compiled_buffers():

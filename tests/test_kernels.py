@@ -48,8 +48,8 @@ def test_scan_parity():
         assert kernels.compiled.scan_image(*args, s1, 20) == kernels.pure.scan_image(
             *args, s1, 20
         )
-        assert kernels.compiled.scan_order(*args, s1, orders, 20) == kernels.pure.scan_order(
-            *args, s1, orders, 20
+        assert kernels.compiled.scan_order(*args, orders, 20) == kernels.pure.scan_order(
+            *args, orders, 20
         )
         assert kernels.compiled.scan_trace(*args, s1, s2, 20) == kernels.pure.scan_trace(
             *args, s1, s2, 20
@@ -92,8 +92,8 @@ def test_scan_parity_degenerate_m0():
     assert kernels.compiled.scan_theorem(*args, (), 20) == kernels.pure.scan_theorem(
         *args, (), 20
     )
-    assert kernels.compiled.scan_order(*args, (), ((),), 20) == kernels.pure.scan_order(
-        *args, (), ((),), 20
+    assert kernels.compiled.scan_order(*args, ((),), 20) == kernels.pure.scan_order(
+        *args, ((),), 20
     )
     assert kernels.compiled.scan_trace(*args, (), (), 20) == kernels.pure.scan_trace(
         *args, (), (), 20
@@ -102,16 +102,18 @@ def test_scan_parity_degenerate_m0():
 
 def scan_calls(M, N, p, lo, hi, cap=20, reverse=False):
     """The four scans with the canonical orders, as (scan, args) pairs;
-    reverse=True reverses the steps and the list of orders."""
+    reverse=True reverses the steps and the list of orders, which then
+    starts with the reversed column order: the one the others are compared
+    with."""
     s1, s2 = steps_of(order_v1(M)), steps_of(order_v2(M))
     orders = tuple(steps_of(o) for o in all_linear_extensions(M))
     if reverse:
-        s1, s2, orders = s1[::-1], s2[::-1], orders[::-1]
+        s1, s2, orders = s1[::-1], s2[::-1], (s1[::-1],) + orders[::-1]
     box = (M, N, p, lo, hi)
     return (
         ("scan_image", (*box, s1, cap)),
         ("scan_theorem", (*box, s1, cap)),
-        ("scan_order", (*box, s1, orders, cap)),
+        ("scan_order", (*box, orders, cap)),
         ("scan_trace", (*box, s1, s2, cap)),
     )
 
@@ -277,7 +279,7 @@ def test_compiled_failure_reports():
     # every failure the chain walks name is a counterexample on the box
     assert set(theorem_fails) <= set(box_mismatches)
     for cap in (1, 3, len(box)):
-        total, fails = kernels.compiled.scan_order(M, N, p, lo, hi, v1, orders, cap)
+        total, fails = kernels.compiled.scan_order(M, N, p, lo, hi, orders, cap)
         assert (total, fails) == (2 * dominant, order_fails[:cap])
         total, fails = kernels.compiled.scan_theorem(M, N, p, lo, hi, rv1, cap)
         assert (total, fails) == (theorem_total, theorem_fails[:cap])

@@ -62,8 +62,10 @@ def test_limit_counts_the_weights_a_check_visits():
     rank, mod, box = SuperRank(2, 3), Modulus(2), Box(-2, 2)
     with pytest.raises(CapacityError):
         enumerate_box(rank, box, limit=1000)
-    with pytest.raises(CapacityError):
-        enumerate_box(rank, box, limit=1000, dominant=True)
+    # the dominant walk counts the 525 weights it visits, not the box
+    assert len(list(enumerate_box(rank, box, limit=525, dominant=True))) == 525
+    with pytest.raises(CapacityError, match="visits 525 weights"):
+        enumerate_box(rank, box, limit=524, dominant=True)
     assert verify_image(rank, mod, box, limit=1000).passed
     for check in ("image", "order", "trace"):
         assert run_check(check, rank, mod, box, limit=525).passed
@@ -72,6 +74,18 @@ def test_limit_counts_the_weights_a_check_visits():
     with pytest.raises(CapacityError, match="visits 1260 weights"):
         verify_theorem(rank, mod, box, limit=1000)
     assert verify_theorem(rank, mod, box, limit=1260).total == 1260
+
+
+def test_enumerate_limit_counts_the_dominant_walk():
+    # (1|2), box 0:1: 8 box weights, 6 of them dominant
+    rank, box = SuperRank(1, 2), Box(0, 1)
+    walked = list(enumerate_box(rank, box, limit=6, dominant=True))
+    assert walked == [w for w in enumerate_box(rank, box) if classify.is_standard_dominant(w, rank)]
+    assert len(walked) == 6
+    with pytest.raises(CapacityError, match="visits 6 weights, over the enumeration limit 5"):
+        enumerate_box(rank, box, limit=5, dominant=True)
+    with pytest.raises(CapacityError, match="visits 8 weights"):
+        enumerate_box(rank, box, limit=6)
 
 
 def test_box_validation():
@@ -310,10 +324,10 @@ def full_box_theorem(M, N, p, lo, hi, steps, failure_cap):
     for w in box_weights(M, N, lo, hi):
         total += 1
         pred = classify.is_relevant_orbit(w, rank, mod, GroupConvention.UPLUS)
-        a, _ = serganova.inverse(w, mod, order, rank)
+        a = serganova.inverse(w, mod, order, rank)
         alg = (
             classify.is_standard_dominant(a, rank)
-            and serganova.forward(a, mod, order, rank)[0] == w
+            and serganova.forward(a, mod, order, rank) == w
         )
         if pred != alg and len(failures) < failure_cap:
             failures.append(("theorem_mismatch", w.lam, w.theta, bool(pred), bool(alg)))
@@ -356,7 +370,7 @@ def test_theorem_hits_must_pull_back(monkeypatch):
     hits = [
         (d, w)
         for d in dominant_weights(1, 2, -1, 1, 2)
-        for w in [real(d, mod, order, rank)[0]]
+        for w in [real(d, mod, order, rank)]
         if all(-1 <= v <= 1 for v in w.lam + w.theta)
     ]
     (d1, _), (d2, w2) = hits[:2]
@@ -381,14 +395,13 @@ def test_theorem_hits_must_be_dominant(monkeypatch):
     d0, w0 = next(
         (d, w)
         for d in dominant_weights(1, 2, -1, 1, 2)
-        for w in [real_forward(d, mod, order, rank)[0]]
+        for w in [real_forward(d, mod, order, rank)]
         if all(-1 <= v <= 1 for v in w.lam + w.theta) and w.theta[0] != w.theta[1]
     )
     swapped = Weight(w0.lam, w0.theta[::-1])
 
     def forward(w, p, order, rank):
-        out, tr = real_forward(w, p, order, rank)
-        return (swapped if w == d0 else out), tr
+        return swapped if w == d0 else real_forward(w, p, order, rank)
 
     def inverse(w, p, order, rank):
         return real_inverse(w0 if w == swapped else w, p, order, rank)
@@ -409,8 +422,8 @@ def test_theorem_scan_refuses_a_transform_that_leaves_the_walk(monkeypatch):
     real_forward, real_inverse = serganova.forward, serganova.inverse
 
     def forward(w, p, order, rank):
-        out, tr = real_forward(w, p, order, rank)
-        return Weight((out.lam[0] - 2,) + out.lam[1:], out.theta), tr
+        out = real_forward(w, p, order, rank)
+        return Weight((out.lam[0] - 2,) + out.lam[1:], out.theta)
 
     def inverse(w, p, order, rank):
         return real_inverse(Weight((w.lam[0] + 2,) + w.lam[1:], w.theta), p, order, rank)
@@ -443,10 +456,10 @@ def test_mutation_order_failures_name_the_broken_order(monkeypatch):
     real = serganova.forward
 
     def forward(w, p, order, rank):
-        out, tr = real(w, p, order, rank)
+        out = real(w, p, order, rank)
         if order == broken:
             out = Weight(out.lam, out.theta[:-1] + (out.theta[-1] + 1,))
-        return out, tr
+        return out
 
     monkeypatch.setattr(serganova, "forward", forward)
     report = verify_order_invariance(rank, mod, Box(-1, 1), backend=_pure(), failure_cap=5)

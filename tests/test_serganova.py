@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from glmn_weights.core import (
     CapacityError,
+    DimensionMismatch,
     Modulus,
     SuperRank,
     ValidationError,
@@ -17,6 +18,7 @@ from glmn_weights.serganova import (
     Action,
     Direction,
     StepOrder,
+    Trace,
     all_linear_extensions,
     forward,
     inverse,
@@ -133,7 +135,9 @@ def test_all_linear_extensions_contain_both_canonical_orders():
 
 def test_forward_single_step_move():
     r = SuperRank(1, 2)
-    out, tr = forward(W((1,), (0, 0)), Modulus(2), order_v1(1), r)
+    w, p, order = W((1,), (0, 0)), Modulus(2), order_v1(1)
+    out = forward(w, p, order, r)
+    tr = Trace(Direction.FORWARD, order, w, p)
     assert out == W((0,), (1, 0))
     (rec,) = tr.records
     assert rec.k == 1
@@ -146,7 +150,9 @@ def test_forward_single_step_move():
 
 def test_forward_single_step_noop():
     r = SuperRank(1, 2)
-    out, tr = forward(W((1,), (1, 0)), Modulus(2), order_v1(1), r)
+    w, p, order = W((1,), (1, 0)), Modulus(2), order_v1(1)
+    out = forward(w, p, order, r)
+    tr = Trace(Direction.FORWARD, order, w, p)
     assert out == W((1,), (1, 0))
     assert tr.records[0].action is Action.NOOP
     assert tr.records[0].sum_before == 2
@@ -156,15 +162,16 @@ def test_forward_m2_same_result_under_both_orders():
     r = SuperRank(2, 3)
     p = Modulus(2)
     w = W((1, 1), (0, 0, 0))
-    out1, _ = forward(w, p, order_v1(2), r)
-    out2, _ = forward(w, p, order_v2(2), r)
+    out1 = forward(w, p, order_v1(2), r)
+    out2 = forward(w, p, order_v2(2), r)
     assert out1 == out2 == W((1, 0), (1, 0, 0))
 
 
 def test_forward_m0_is_identity_with_empty_trace():
     r = SuperRank(0, 2)
     w = W((), (3, -1))
-    out, tr = forward(w, Modulus(3), order_v1(0), r)
+    out = forward(w, Modulus(3), order_v1(0), r)
+    tr = Trace(Direction.FORWARD, order_v1(0), w, Modulus(3))
     assert out == w
     assert tr.records == ()
 
@@ -172,13 +179,12 @@ def test_forward_m0_is_identity_with_empty_trace():
 def test_inverse_examples():
     r = SuperRank(1, 2)
     p = Modulus(2)
-    out, _ = inverse(W((0,), (1, 0)), p, order_v1(1), r)
+    out = inverse(W((0,), (1, 0)), p, order_v1(1), r)
     assert out == W((1,), (0, 0))
-    out, tr = inverse(W((1,), (1, 0)), p, order_v1(1), r)
+    out = inverse(W((1,), (1, 0)), p, order_v1(1), r)
     assert out == W((1,), (1, 0))
-    assert tr.direction is Direction.INVERSE
     r2 = SuperRank(2, 3)
-    out, _ = inverse(W((1, 0), (1, 0, 0)), p, order_v1(2), r2)
+    out = inverse(W((1, 0), (1, 0, 0)), p, order_v1(2), r2)
     assert out == W((1, 1), (0, 0, 0))
 
 
@@ -190,10 +196,10 @@ def test_roundtrip_both_ways_on_full_boxes():
         mod = Modulus(p)
         for order in (order_v1(M), order_v2(M)):
             for w in box_weights(M, N, lo, hi):
-                fwd, _ = forward(w, mod, order, r)
-                assert inverse(fwd, mod, order, r)[0] == w
-                inv, _ = inverse(w, mod, order, r)
-                assert forward(inv, mod, order, r)[0] == w
+                fwd = forward(w, mod, order, r)
+                assert inverse(fwd, mod, order, r) == w
+                inv = inverse(w, mod, order, r)
+                assert forward(inv, mod, order, r) == w
 
 
 @given(
@@ -206,8 +212,8 @@ def test_roundtrip_hypothesis(lam, theta, p):
     mod = Modulus(p)
     w = W(lam, theta)
     order = order_v1(2)
-    assert inverse(forward(w, mod, order, r)[0], mod, order, r)[0] == w
-    assert forward(inverse(w, mod, order, r)[0], mod, order, r)[0] == w
+    assert inverse(forward(w, mod, order, r), mod, order, r) == w
+    assert forward(inverse(w, mod, order, r), mod, order, r) == w
 
 
 def test_order_invariance_on_dominant_weights():
@@ -218,7 +224,7 @@ def test_order_invariance_on_dominant_weights():
         for w in box_weights(2, 3, -2, 2):
             if not dominant(w):
                 continue
-            results = {forward(w, mod, o, r)[0] for o in exts}
+            results = {forward(w, mod, o, r) for o in exts}
             assert len(results) == 1
 
 
@@ -227,9 +233,8 @@ def test_sum_is_conserved_at_every_step():
     mod = Modulus(2)
     for w in box_weights(2, 3, -1, 1):
         base = sum(w.lam) + sum(w.theta)
-        for fn in (forward, inverse):
-            _, tr = fn(w, mod, order_v1(2), r)
-            for rec in tr.records:
+        for direction in Direction:
+            for rec in Trace(direction, order_v1(2), w, mod).records:
                 st_ = rec.state_after
                 assert sum(st_.lam) + sum(st_.theta) == base
 
@@ -239,9 +244,8 @@ def test_congruence_memory_at_every_step():
     for p in (0, 2, 3):
         mod = Modulus(p)
         for w in box_weights(2, 3, -1, 1):
-            for fn in (forward, inverse):
-                _, tr = fn(w, mod, order_v2(2), r)
-                for rec in tr.records:
+            for direction in Direction:
+                for rec in Trace(direction, order_v2(2), w, mod).records:
                     st_ = rec.state_after
                     after = st_.lam[rec.pair.i - 1] + st_.theta[rec.pair.j - 1]
                     diff = after - rec.sum_before
@@ -255,19 +259,17 @@ def test_monotone_intermediate_states_on_dominant_input():
         for w in box_weights(2, 3, -2, 2):
             if not dominant(w):
                 continue
-            _, tr1 = forward(w, mod, order_v1(2), r)
-            for rec in tr1.records:
+            for rec in Trace(Direction.FORWARD, order_v1(2), w, mod).records:
                 lam = rec.state_after.lam
                 assert all(lam[i] >= lam[i + 1] for i in range(len(lam) - 1))
-            _, tr2 = forward(w, mod, order_v2(2), r)
-            for rec in tr2.records:
+            for rec in Trace(Direction.FORWARD, order_v2(2), w, mod).records:
                 head = rec.state_after.theta[:3]
                 assert all(head[i] >= head[i + 1] for i in range(len(head) - 1))
 
 
 def test_trace_states_for_known_run():
     r = SuperRank(2, 3)
-    _, tr = forward(W((1, 1), (0, 0, 0)), Modulus(2), order_v1(2), r)
+    tr = Trace(Direction.FORWARD, order_v1(2), W((1, 1), (0, 0, 0)), Modulus(2))
     assert [rec.state_after.lam for rec in tr.records] == [(1, 0), (1, 0), (1, 0)]
 
 
@@ -275,11 +277,11 @@ def test_trailing_theta_entries_never_move():
     r = SuperRank(2, 5)
     mod = Modulus(2)
     for w in box_weights(2, 5, -1, 1):
-        for fn in (forward, inverse):
+        for fn, direction in ((forward, Direction.FORWARD), (inverse, Direction.INVERSE)):
             for order in (order_v1(2), order_v2(2)):
-                out, tr = fn(w, mod, order, r)
+                out = fn(w, mod, order, r)
                 assert out.theta[2:] == w.theta[2:]
-                for rec in tr.records:
+                for rec in Trace(direction, order, w, mod).records:
                     assert rec.state_after.theta[2:] == w.theta[2:]
 
 
@@ -287,7 +289,7 @@ def test_trace_shape_and_action_rule():
     r = SuperRank(3, 4)
     mod = Modulus(3)
     w = W((2, 1, 0), (1, 1, 0, -2))
-    out, tr = forward(w, mod, order_v1(3), r)
+    tr = Trace(Direction.FORWARD, order_v1(3), w, mod)
     assert len(tr.records) == 6
     assert [rec.k for rec in tr.records] == list(range(1, 7))
     assert tr.order_used == order_v1(3)
@@ -320,8 +322,8 @@ def test_trace_records_match_an_independent_replay():
         for w in box_weights(2, 4, -1, 1):
             for fn, direction in ((forward, Direction.FORWARD), (inverse, Direction.INVERSE)):
                 for order in (order_v1(2), order_v2(2)):
-                    _, tr = fn(w, mod, order, r)
-                    assert tr.direction is direction
+                    tr = Trace(direction, order, w, mod)
+                    assert tr.records[-1].state_after == fn(w, mod, order, r)
                     got = [
                         (rec.k, tuple(rec.pair), rec.action, rec.sum_before,
                          rec.state_after.lam, rec.state_after.theta)
@@ -333,16 +335,49 @@ def test_trace_records_match_an_independent_replay():
 def test_trace_read_later_keeps_its_own_input():
     r = SuperRank(2, 3)
     mod = Modulus(2)
-    first, tr = forward(W((1, 1), (0, 0, 0)), mod, order_v1(2), r)
+    w = W((1, 1), (0, 0, 0))
+    first = forward(w, mod, order_v1(2), r)
+    tr = Trace(Direction.FORWARD, order_v1(2), w, mod)
     forward(W((2, 0), (1, 1, 0)), mod, order_v1(2), r)
     inverse(first, mod, order_v2(2), r)
     assert tr.records[-1].state_after == first
     assert [rec.state_after.lam for rec in tr.records] == [(1, 0), (1, 0), (1, 0)]
 
 
+def test_transforms_return_only_the_weight():
+    r = SuperRank(2, 3)
+    w = W((1, 1), (0, 0, 0))
+    for fn in (forward, inverse):
+        out = fn(w, Modulus(2), order_v1(2), r)
+        assert type(out) is Weight
+    assert forward(w, Modulus(2), order_v1(2), r) == W((1, 0), (1, 0, 0))
+
+
+def test_trace_start_must_fit_its_order():
+    # lambda longer or shorter than M, or theta no longer than M: reading
+    # the records refuses the start instead of replaying it
+    for order, start in (
+        (order_v1(1), W((1, 0), (0, 0, 0))),
+        (order_v1(2), W((1,), (0, 0, 0))),
+        (order_v1(2), W((1, 0), (0, 0))),
+        (order_v1(0), W((), ())),
+    ):
+        for direction in Direction:
+            tr = Trace(direction, order, start, Modulus(2))
+            with pytest.raises(DimensionMismatch, match="does not fit"):
+                tr.records
+    assert len(Trace(Direction.FORWARD, order_v1(2), W((1, 0), (0, 0, 0)), Modulus(2)).records) == 3
+
+
+def test_first_linear_extension_is_the_column_order():
+    # the order check compares every extension with the first one
+    for M in range(5):
+        assert all_linear_extensions(M)[0] == order_v1(M)
+
+
 def test_transform_accepts_non_dominant_weights():
     r = SuperRank(2, 3)
-    out, _ = forward(W((0, 5), (-3, 7, 1)), Modulus(2), order_v1(2), r)
+    out = forward(W((0, 5), (-3, 7, 1)), Modulus(2), order_v1(2), r)
     assert isinstance(out, Weight)
 
 
