@@ -8,7 +8,8 @@ those and the dominant weights of a box widened upward in lambda, which
 hold every dominant preimage of a box weight.  Every per-weight operation
 is routed through the public modules (looked up at call time), so the
 harness exercises the same code the library exposes and the test suite can
-substitute deliberately broken variants.
+substitute deliberately broken variants: the order scan steps each edge of
+the ideal lattice with serganova._steps, the transform core.
 """
 
 from __future__ import annotations
@@ -134,21 +135,62 @@ def _neighbours(lam, theta):
             yield lam, theta[:k] + (theta[k + 1], theta[k]) + theta[k + 2 :]
 
 
-def scan_order(M, N, p, lo, hi, orders, failure_cap):
-    """Check that every supplied step order gives the same result as the
-    first one on each dominant weight in the box."""
+def scan_order(M, N, p, lo, hi, steps, ideals, failure_cap):
+    """Walk the lattice table `ideals` (serganova.ideal_lattice) on each
+    dominant weight of the box.  The state of ideal 0 is the weight; the
+    first edge (I, J, x) of an ideal I sets its state to that of J stepped
+    at x, and every further edge of I must give the same state.  The state
+    of the last ideal must equal the result of forward under `steps`.
+    Comparison k is edge k, or the top comparison for k = len(ideals); a
+    failure names the weight and k.  `total` counts the comparisons."""
     rank = SuperRank(M, N)
     mod = Modulus(p)
-    step_orders = [StepOrder(M, s) for s in orders]
+    order = StepOrder(M, steps)
+    edges = _load_ideals(M, ideals)
+    top = edges[-1][0] if edges else 0
+    # bound once per scan: substitutes installed before it still apply
+    step, forward = serganova._steps, serganova.forward
     total = 0
     failures = []
+
+    def note(w, k):
+        if len(failures) < failure_cap:
+            failures.append(("order_mismatch", w.lam, w.theta, k))
+
     for w in dominant_weights(M, N, lo, hi):
-        outs = [serganova.forward(w, mod, o, rank) for o in step_orders]
-        total += len(outs)
-        for idx, out in enumerate(outs):
-            if out != outs[0] and len(failures) < failure_cap:
-                failures.append(("order_mismatch", w.lam, w.theta, idx))
+        # the state of ideal I is (lams[I], thetas[I])
+        lams, thetas = [list(w.lam)] * (top + 1), [list(w.theta)] * (top + 1)
+        for k, (ideal, below, index, first) in enumerate(edges):
+            lam, theta = lams[below].copy(), thetas[below].copy()
+            step(lam, theta, index, mod)
+            if first:
+                lams[ideal], thetas[ideal] = lam, theta
+            elif lam != lams[ideal] or theta != thetas[ideal]:
+                note(w, k)
+        result = forward(w, mod, order, rank)
+        if list(result.lam) != lams[top] or list(result.theta) != thetas[top]:
+            note(w, len(edges))
+        total += len(edges) + 1
     return total, failures
+
+
+def _load_ideals(M, ideals):
+    """The edges of a lattice table as (I, J, ((i - 1, j - 1),), first):
+    the ideals, the indices of lambda_i and theta_j as a one-step list for
+    serganova._steps, and whether the edge is the first of I.  Raises
+    ValueError unless each edge has 0 <= J < I and I equal to the ideal of
+    the edge before (0 before the first) or one past it, so that every
+    state is set before it is read, and unless its pair is an excess pair
+    for M."""
+    edges, last = [], 0
+    for ideal, below, (i, j) in ideals:
+        if not (0 <= below < ideal and last <= ideal <= last + 1):
+            raise ValueError(f"edge ({ideal}, {below}) does not follow the ideals before it")
+        if not 1 <= j <= i <= M:
+            raise ValueError(f"step ({i}, {j}) is not an excess pair for M={M}")
+        edges.append((ideal, below, ((i - 1, j - 1),), ideal != last))
+        last = ideal
+    return edges
 
 
 def scan_trace(M, N, p, lo, hi, steps_v1, steps_v2, failure_cap):

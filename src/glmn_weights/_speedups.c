@@ -9,7 +9,10 @@
  * same lexicographic order as the pure backend: the image, order and trace
  * scans those of the box, the theorem scan those of the box and of the box
  * widened upward in lambda that holds every dominant preimage of a box
- * weight.  Totals, failures and their order equal the pure backend's.
+ * weight.  The order scan walks, on each weight, the lattice table it is
+ * given (serganova.ideal_lattice), one state per order ideal, exactly as
+ * the pure scan does.  Totals, failures and their order equal the pure
+ * backend's.
  *
  * The kernels compute in C long on at most MAXN coordinates.  Every scan
  * refuses, with OverflowError and before it visits a weight, a rank with
@@ -172,8 +175,9 @@ magnitude(long x)
    a linear extension, and the odometer never passes hi, so every
    coordinate, diagonal sum and weight sum stays below
    (M+N) * (max(|lo|, |hi|) + M + 1) in magnitude; refuse the box when that
-   reaches LONG_MAX + 1.  Other step lists move a coordinate by at most
-   MAXSTEPS units, which the coordinates and diagonal sums still absorb
+   reaches LONG_MAX + 1.  Other step lists, and the chains of edges of a
+   lattice table (load_ideals bounds their length), move a coordinate by
+   at most MAXSTEPS units, which the coordinates and diagonal sums still absorb
    (they stay below LONG_MAX / 3 + MAXSTEPS when M > 0), and the sum of a
    weight is conserved.  The magnitudes are unsigned because |LONG_MIN| is
    not a long. */
@@ -428,66 +432,150 @@ fail:
     return NULL;
 }
 
+#define EDGE_SHAPE "an edge must be (ideal, below, (i, j))"
+
+/* Read one edge of a lattice table, any sequence (ideal, below, pair), into
+   *ideal and *below, and return a new one-step list holding its pair; NULL
+   with an exception set on error. */
+static PyObject *
+read_edge(PyObject *obj, long *ideal, long *below)
+{
+    PyObject *item = PySequence_Fast(obj, EDGE_SHAPE), *one = NULL;
+
+    if (item == NULL)
+        return NULL;
+    if (PySequence_Fast_GET_SIZE(item) != 3)
+        PyErr_SetString(PyExc_ValueError, EDGE_SHAPE);
+    else {
+        *ideal = PyLong_AsLong(PySequence_Fast_GET_ITEM(item, 0));
+        *below = PyErr_Occurred() ? 0 : PyLong_AsLong(PySequence_Fast_GET_ITEM(item, 1));
+        if (!PyErr_Occurred())
+            one = PyTuple_Pack(1, PySequence_Fast_GET_ITEM(item, 2));
+    }
+    Py_DECREF(item);
+    return one;
+}
+
+/* Read the lattice table into edge[5 * e ...]: ideal I, ideal J = I - x,
+   the buffer positions of lambda_i and theta_j of the pair x = (i, j), and
+   whether the edge is the first of I.  The rules are those of the pure
+   backend (_pykernels._load_ideals): 0 <= J < I, I equal to the ideal of
+   the edge before (0 before the first) or one past it, and (i, j) an
+   excess pair for M.  A state is reached from the weight by at most
+   MAXSTEPS steps, as check_box assumes: a table with a longer chain of
+   edges is refused with OverflowError.  Return the number of edges, or -1
+   with an exception set (*edge is then freed by the caller). */
+static Py_ssize_t
+load_ideals(PyObject *seq, Py_ssize_t M, int **edge)
+{
+    Py_ssize_t ne = PySequence_Fast_GET_SIZE(seq), rc = ne;
+    long ideal, below, last = 0;
+    int si[1], sj[1], *depth;
+    PyObject *one;
+
+    *edge = PyMem_New(int, 5 * ne + 1);
+    depth = PyMem_New(int, ne + 1);
+    if (*edge == NULL || depth == NULL) {
+        PyMem_Free(depth);
+        PyErr_NoMemory();
+        return -1;
+    }
+    depth[0] = 0;
+    for (Py_ssize_t e = 0; e < ne && rc >= 0; e++) {
+        int *ed = *edge + 5 * e;
+
+        if ((one = read_edge(PySequence_Fast_GET_ITEM(seq, e), &ideal, &below)) == NULL) {
+            rc = -1;
+            break;
+        }
+        if (!(0 <= below && below < ideal && last <= ideal && ideal <= last + 1)) {
+            PyErr_Format(PyExc_ValueError,
+                         "edge (%ld, %ld) does not follow the ideals before it", ideal, below);
+            rc = -1;
+        }
+        else if (load_steps(one, M, si, sj, 1, TOO_MANY_STEPS) < 0)
+            rc = -1;
+        Py_DECREF(one);
+        if (rc < 0)
+            break;
+        ed[0] = (int)ideal;
+        ed[1] = (int)below;
+        ed[2] = si[0];
+        ed[3] = sj[0];
+        ed[4] = ideal != last;
+        if (ed[4] || depth[ideal] < depth[below] + 1)
+            depth[ideal] = depth[below] + 1;
+        if (depth[ideal] > MAXSTEPS) {
+            PyErr_SetString(PyExc_OverflowError,
+                            "lattice table too deep for the compiled backend; use the pure backend");
+            rc = -1;
+        }
+        last = ideal;
+    }
+    PyMem_Free(depth);
+    return rc;
+}
+
+/* The lattice walk of the pure scan_order, on the same table: per weight,
+   the state of ideal 0 is the weight, the first edge (I, J, x) of I sets
+   the state of I to that of J stepped at x, every further edge of I must
+   give the same state, and the state of the last ideal must equal forward
+   under steps.  States are kept stride coordinates apart, a multiple of
+   four, so that copy() stays inside them. */
 static PyObject *
 scan_order(PyObject *self, PyObject *args)
 {
-    Py_ssize_t M, N, n, ns = 0, cap, n_orders;
+    Py_ssize_t M, N, n, ns, ne, cap, stride, top;
     long p, lo, hi, total = 0;
-    PyObject *orders, *seq = NULL, *failures = NULL;
-    int si[MAXSTEPS], sj[MAXSTEPS], *osi = NULL, *osj = NULL;
-    long coords[MAXN], first[MAXN], work[MAXN];
+    PyObject *steps, *ideals, *seq = NULL, *failures = NULL;
+    int si[MAXSTEPS], sj[MAXSTEPS], *edge = NULL;
+    long coords[MAXN], work[MAXN], *state = NULL;
 
-    if (!PyArg_ParseTuple(args, "nnlllOn:scan_order", &M, &N, &p, &lo, &hi, &orders, &cap)
-        || check_box(M, N, lo, hi) < 0)
+    if (!PyArg_ParseTuple(args, "nnlllOOn:scan_order", &M, &N, &p, &lo, &hi, &steps, &ideals,
+                          &cap)
+        || check_box(M, N, lo, hi) < 0
+        || (ns = load_steps(steps, M, si, sj, MAXSTEPS, TOO_MANY_STEPS)) < 0)
         return NULL;
-    if ((seq = PySequence_Fast(orders, "orders must be a sequence of step lists")) == NULL)
+    if ((seq = PySequence_Fast(ideals, "the lattice table must be a sequence of edges")) == NULL)
         return NULL;
-    n_orders = PySequence_Fast_GET_SIZE(seq);
-    /* the first order, loaded here to count its steps, sets that of every order */
-    if (n_orders > 0
-        && (ns = load_steps(PySequence_Fast_GET_ITEM(seq, 0), M, si, sj, MAXSTEPS,
-                            TOO_MANY_STEPS)) < 0)
+    if ((ne = load_ideals(seq, M, &edge)) < 0)
         goto fail;
-    osi = PyMem_New(int, n_orders * ns + 1);
-    osj = PyMem_New(int, n_orders * ns + 1);
-    if (osi == NULL || osj == NULL) {
+    n = M + N;
+    stride = (n + 3) / 4 * 4;
+    top = ne > 0 ? edge[5 * (ne - 1)] : 0;
+    if ((state = PyMem_New(long, (top + 1) * stride)) == NULL) {
         PyErr_NoMemory();
         goto fail;
     }
-    for (Py_ssize_t o = 0; o < n_orders; o++) {
-        const char *uneven = "every order must have the same number of steps";
-        Py_ssize_t k = load_steps(PySequence_Fast_GET_ITEM(seq, o), M, osi + o * ns,
-                                  osj + o * ns, ns, uneven);
-        if (k < 0)
-            goto fail;
-        if (k != ns) {
-            PyErr_SetString(PyExc_ValueError, uneven);
-            goto fail;
-        }
-    }
     if ((failures = PyList_New(0)) == NULL)
         goto fail;
-    n = M + N;
     first_weight(coords, lo);
     do {
-        copy(first, coords, n);
-        forward(first, p, osi, osj, ns);
-        total += n_orders;
-        for (Py_ssize_t o = 1; o < n_orders; o++) {
-            copy(work, coords, n);
-            forward(work, p, osi + o * ns, osj + o * ns, ns);
-            if (!equal(work, first, n)
-                && note(failures, cap, "order_mismatch", coords, M, N, "(n)", o) < 0)
+        copy(state, coords, n);
+        for (Py_ssize_t e = 0; e < ne; e++) {
+            const int *ed = edge + 5 * e;
+            long *dst = ed[4] ? state + ed[0] * stride : work;
+
+            copy(dst, state + ed[1] * stride, n);
+            step(dst, p, ed[2], ed[3], 1);
+            if (!ed[4] && !equal(work, state + ed[0] * stride, n)
+                && note(failures, cap, "order_mismatch", coords, M, N, "(n)", e) < 0)
                 goto fail;
         }
+        copy(work, coords, n);
+        forward(work, p, si, sj, ns);
+        if (!equal(work, state + top * stride, n)
+            && note(failures, cap, "order_mismatch", coords, M, N, "(n)", ne) < 0)
+            goto fail;
+        total += ne + 1;
     } while (next_dominant(coords, M, n, lo, hi, hi));
-    PyMem_Free(osi);
-    PyMem_Free(osj);
+    PyMem_Free(edge);
+    PyMem_Free(state);
     Py_DECREF(seq);
     return Py_BuildValue("(lN)", total, failures);
 fail:
-    PyMem_Free(osi);
-    PyMem_Free(osj);
+    PyMem_Free(edge);
+    PyMem_Free(state);
     Py_DECREF(seq);
     Py_XDECREF(failures);
     return NULL;
@@ -562,8 +650,8 @@ static PyMethodDef methods[] = {
      "scan_theorem($module, M, N, p, lo, hi, steps, failure_cap, /)\n--\n\n"
      "Predicate vs algorithm, over dominant chains of the box and of a widened box."},
     {"scan_order", scan_order, METH_VARARGS,
-     "scan_order($module, M, N, p, lo, hi, orders, failure_cap, /)\n--\n\n"
-     "Every supplied order vs the first one, on dominant weights."},
+     "scan_order($module, M, N, p, lo, hi, steps, ideals, failure_cap, /)\n--\n\n"
+     "The lattice of order ideals walked on dominant weights, its top vs forward."},
     {"scan_trace", scan_trace, METH_VARARGS,
      "scan_trace($module, M, N, p, lo, hi, steps_v1, steps_v2, failure_cap, /)\n--\n\n"
      "Per-step invariants over both canonical orders, on dominant weights."},

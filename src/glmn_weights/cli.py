@@ -97,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="all",
     )
     sp.add_argument("--cap", type=int, default=serganova.DEFAULT_EXTENSION_CAP,
-                    help="max linear extensions for the order check")
+                    help="max order ideals the order check holds per weight, Catalan(M+1)")
     sp.add_argument("--limit", type=int, default=oracle.DEFAULT_LIMIT,
                     help="max weights a check visits")
     sp.add_argument("--failure-cap", type=int, default=oracle.DEFAULT_FAILURE_CAP,

@@ -10,6 +10,22 @@ box.  The image, order and trace checks concern dominant weights only
 (every mixed weight is dominant too), so they visit the dominant weights of
 the box.
 
+The order check walks, on each dominant weight, the lattice of order ideals
+(down-sets) of the pair order instead of its linear extensions, whose
+prefixes are the ideals: Catalan(M+1) ideals, joined by one edge (I, x)
+per ideal I and maximal pair x of I (serganova.ideal_lattice).  The state
+of the empty ideal is the weight.  The first edge of I sets the state of I
+to that of I - x stepped at x, by the step rule of the transform core, and
+every further edge of I must give the same state.  Along any linear
+extension the states then agree ideal by ideal, so every extension ends in
+the state of the top ideal, which must equal forward under the column
+order v1.  That the edges agree is where the claim comes from: steps at
+incomparable pairs act on disjoint coordinates, so they commute.  An order
+failure names a linear extension through the failing comparison: for an
+edge (I, x), the path of first edges from the empty ideal to I - x, then
+x, then the pairs outside I in column order; for the top comparison, v1.
+The extension cap bounds the ideals the walk holds per weight.
+
 The theorem check walks two sets of chains.  Its algorithmic side walks the
 dominant weights with lambda in [lo, hi + c] and theta in [lo, hi], where c
 is the number of (1, 1) steps (1 for every linear extension): forward only
@@ -38,11 +54,12 @@ mean a dominant preimage lies outside the widened walk, and the scan
 raises rather than pass.
 
 A report's `total` counts the instances tested: for the theorem check, the
-weights of both walks.  The enumeration limit counts the weights a check
-or enumerate_box visits, from a closed form computed before the walk.
-Enumeration is lexicographic and streaming, so reports are deterministic
-and memory use stays flat; failure lists are capped without affecting the
-verdict.
+weights of both walks; for the order check, the comparisons (each edge and
+the top comparison) on each dominant weight.  The enumeration limit counts
+the weights a check or enumerate_box visits, from a closed form computed
+before the walk.  Enumeration is lexicographic and streaming, so reports
+are deterministic and memory use stays flat; failure lists are capped
+without affecting the verdict.
 
 The compiled backend computes in C long on at most 64 coordinates and
 enforces those bounds itself: its scans refuse with OverflowError any rank,
@@ -65,7 +82,7 @@ from .core import (
     box_weights,
     dominant_weights,
 )
-from .serganova import DEFAULT_EXTENSION_CAP, all_linear_extensions, order_v1, order_v2
+from .serganova import DEFAULT_EXTENSION_CAP, ideal_lattice, order_v1, order_v2
 
 DEFAULT_LIMIT = 10_000_000
 DEFAULT_FAILURE_CAP = 20
@@ -174,8 +191,8 @@ def _scan(name, rank: SuperRank, p: Modulus, box: Box, limit, failure_cap, backe
     failures = []
     for kind, lam, theta, *extra in fails:
         failure = {"kind": kind, "weight": {"lambda": list(lam), "theta": list(theta)}}
-        if name == "order":  # the scan names the order by its index in orders
-            extra = [[list(s) for s in steps[0][extra[0]]]]
+        if name == "order":  # the scan names the comparison that failed
+            extra = [[list(s) for s in _extension_through(*steps, extra[0])]]
         failure.update(zip(_FAILURE_FIELDS[name], extra))
         failures.append(failure)
     return VerificationReport(name, total, tuple(failures), be.name)
@@ -212,10 +229,29 @@ def verify_order_invariance(
     backend=None,
 ) -> VerificationReport:
     """Check that every linear extension of the pair order transforms each
-    dominant weight in the box to the same result as the first one, the
-    column order."""
-    orders = tuple(o.steps for o in all_linear_extensions(rank.M, cap))
-    return _scan("order", rank, p, box, limit, failure_cap, backend, orders)
+    dominant weight in the box to the same result, by walking the lattice
+    of order ideals (see the module docstring).  `cap` bounds the ideals
+    the walk holds per weight, Catalan(M+1)."""
+    v1, ideals = order_v1(rank.M).steps, ideal_lattice(rank.M, cap)
+    return _scan("order", rank, p, box, limit, failure_cap, backend, v1, ideals)
+
+
+def _extension_through(v1, ideals, k):
+    """The linear extension that a failure at comparison k names: for edge
+    (I, J, x), the pairs along first edges from the empty ideal to J, then
+    x, then the pairs outside I in column order; v1 for the top comparison."""
+    if k == len(ideals):
+        return v1
+    first = {}
+    for ideal, below, x in ideals:
+        first.setdefault(ideal, (below, x))
+    _, below, x = ideals[k]
+    path = [x]
+    while below:
+        below, y = first[below]
+        path.append(y)
+    path.reverse()
+    return path + [s for s in v1 if s not in path]
 
 
 def verify_theorem(

@@ -15,18 +15,28 @@ Only theta entries 1..M can ever move (j <= i <= M), so theta_{M+1} and
 any trailing entries ride along unchanged.
 
 `forward` and `inverse` map a weight to a weight and return nothing else.
-The transform core (`_apply`) works on two int lists and builds no
-intermediate weights.  A caller that reads the steps builds
+The transform core (`_steps`) applies the step rule on two int lists
+(lambda and theta) and builds no intermediate weights; it is the one
+definition of a step, which the order check's lattice walk applies one
+step at a time.  A caller that reads the steps builds
 `Trace(direction, order, w, p)` itself; the trace stores only those four
 and computes its per-step records on first read, by replaying the same
-core.
+core one step at a time.
+
+Linear extensions are the standard tableaux of the staircase shape
+(M, M-1, ..., 1), counted by the hook length formula
+(`linear_extension_count`).  Their prefixes are the order ideals
+(down-sets) of the pair order, Catalan(M+1) of them; `ideal_lattice` lists
+the covering edges of the lattice they form, which the order check walks
+instead of the extensions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
+from math import comb, factorial, prod
 
 from .core import (
     CapacityError,
@@ -82,6 +92,12 @@ class StepOrder:
                         f"must come before {tuple(steps[a])}"
                     )
 
+    @cached_property
+    def indices(self) -> tuple[tuple[int, int], ...]:
+        """Per step (i, j), the list indices i - 1 and j - 1 of lambda_i and
+        theta_j."""
+        return tuple((i - 1, j - 1) for i, j in self.steps)
+
 
 @dataclass(frozen=True)
 class StepRecord:
@@ -108,15 +124,29 @@ class Trace:
     start: Weight
     p: Modulus
 
+    def __post_init__(self):
+        if not isinstance(self.direction, Direction):
+            raise ValidationError(f"direction must be a Direction, got {self.direction!r}")
+
     @cached_property
     def records(self) -> tuple[StepRecord, ...]:
-        lam, theta, M = list(self.start.lam), list(self.start.theta), self.order_used.M
+        lam, theta, M = self.start.lam, self.start.theta, self.order_used.M
         if not len(lam) == M < len(theta):
             raise DimensionMismatch(
                 f"trace start of shape ({len(lam)}|{len(theta)}) does not fit an order for M={M}"
             )
+        steps, d = zip(self.order_used.steps, self.order_used.indices), 1
+        if self.direction is Direction.INVERSE:
+            steps, d = reversed(tuple(steps)), -1
+        lam, theta = list(lam), list(theta)
         records: list[StepRecord] = []
-        _apply(lam, theta, self.p, self.order_used, self.direction, records)
+        for k, (pair, index) in enumerate(steps, 1):
+            a, b = index
+            s, before = lam[a] + theta[b], lam[a]
+            _steps(lam, theta, (index,), self.p, d)
+            action = Action.NOOP if lam[a] == before else Action.MOVE
+            state = _valid_weight(tuple(lam), tuple(theta))
+            records.append(StepRecord(k, pair, action, s, state))
         return tuple(records)
 
 
@@ -130,15 +160,25 @@ def order_v2(M: int) -> StepOrder:
     return StepOrder(M, tuple(PairIndex(i, j) for i in range(M, 0, -1) for j in range(1, i + 1)))
 
 
+def linear_extension_count(M: int) -> int:
+    """The number of linear extensions of the excess-pair order, by the hook
+    length formula for the staircase (M, M-1, ..., 1): its n = M(M+1)/2
+    cells have the hooks 2k - 1 (k = 1..M), each on M - k + 1 cells."""
+    return factorial(M * (M + 1) // 2) // prod((2 * k - 1) ** (M - k + 1) for k in range(1, M + 1))
+
+
 def all_linear_extensions(M: int, cap: int = DEFAULT_EXTENSION_CAP) -> list[StepOrder]:
     """Enumerate every linear extension of the excess-pair order.
 
     Backtracks over the poset, trying candidates in lexicographic pair order,
     so the output list is lexicographically sorted and deterministic.  Raises
-    CapacityError as soon as more than `cap` extensions exist.
+    CapacityError, before enumerating, when more than `cap` extensions exist.
     """
     if cap <= 0:
         raise ValidationError(f"cap must be positive, got {cap}")
+    count = linear_extension_count(M)
+    if count > cap:
+        raise CapacityError(f"{count} linear extensions for M={M}, over cap={cap}")
     pairs = list(all_pairs(M))
     preds = {y: {x for x in pairs if x != y and pair_leq(x, y)} for y in pairs}
     found: list[StepOrder] = []
@@ -147,8 +187,6 @@ def all_linear_extensions(M: int, cap: int = DEFAULT_EXTENSION_CAP) -> list[Step
 
     def extend():
         if len(chosen) == len(pairs):
-            if len(found) >= cap:
-                raise CapacityError(f"more than cap={cap} linear extensions for M={M}")
             found.append(StepOrder(M, tuple(chosen)))
             return
         for cand in pairs:
@@ -162,6 +200,51 @@ def all_linear_extensions(M: int, cap: int = DEFAULT_EXTENSION_CAP) -> list[Step
 
     extend()
     return found
+
+
+def ideal_lattice(
+    M: int, cap: int = DEFAULT_EXTENSION_CAP
+) -> tuple[tuple[int, int, PairIndex], ...]:
+    """The lattice table of the order ideals (down-sets) of the excess-pair
+    order: one edge (I, J, x) per ideal I and maximal pair x of I, where J
+    is the ideal I - x.
+
+    The Catalan(M+1) ideals are numbered in size order (0 is the empty
+    ideal, the last one holds every pair), and lexicographically by their
+    sorted pairs within one size.  Edges come grouped by I in that order
+    and, within I, in reverse column order (order_v1) of x: so the first
+    edge of I removes its last pair in the column order, and following
+    first edges leads from I back to the empty ideal.  Raises
+    CapacityError, before building, when there are more than `cap` ideals.
+    Built once per M.
+    """
+    if cap <= 0:
+        raise ValidationError(f"cap must be positive, got {cap}")
+    count = comb(2 * M + 2, M + 1) // (M + 2)
+    if count > cap:
+        raise CapacityError(f"{count} order ideals for M={M}, over cap={cap}")
+    return _ideal_lattice(M)
+
+
+@cache
+def _ideal_lattice(M: int) -> tuple[tuple[int, int, PairIndex], ...]:
+    # an ideal is a bit mask over the pairs in column order
+    pairs = order_v1(M).steps
+    bit = [1 << k for k in range(len(pairs))]
+    below = [sum(bit[a] for a, x in enumerate(pairs) if a != b and pair_leq(x, y))
+             for b, y in enumerate(pairs)]
+    above = [sum(bit[a] for a, x in enumerate(pairs) if a != b and pair_leq(y, x))
+             for b, y in enumerate(pairs)]
+    ideals, level = [], [0]
+    while level:
+        ideals += sorted(level, key=lambda m: sorted(x for k, x in enumerate(pairs) if m & bit[k]))
+        level = list({m | bit[k] for m in level for k in range(len(pairs))
+                      if not m & bit[k] and below[k] & ~m == 0})
+    index = {m: n for n, m in enumerate(ideals)}
+    return tuple((n, index[m ^ bit[k]], pairs[k])
+                 for n, m in enumerate(ideals)
+                 for k in reversed(range(len(pairs)))
+                 if m & bit[k] and not above[k] & m)
 
 
 def forward(w: Weight, p: Modulus, order: StepOrder, rank: SuperRank) -> Weight:
@@ -178,45 +261,21 @@ def _run(w: Weight, p: Modulus, order: StepOrder, rank: SuperRank, direction: Di
     w.require_rank(rank)
     if order.M != rank.M:
         raise ValidationError(f"step order is for M={order.M}, rank has M={rank.M}")
-    lam = list(w.lam)
-    theta = list(w.theta)
-    _apply(lam, theta, p, order, direction)
+    lam, theta = list(w.lam), list(w.theta)
+    if direction is Direction.FORWARD:
+        _steps(lam, theta, order.indices, p, 1)
+    else:
+        _steps(lam, theta, reversed(order.indices), p, -1)
     return _valid_weight(tuple(lam), tuple(theta))
 
 
-def _apply(
-    lam: list[int],
-    theta: list[int],
-    p: Modulus,
-    order: StepOrder,
-    direction: Direction,
-    records: list[StepRecord] | None = None,
-) -> None:
-    """The transform core: run the steps of `order` on `lam` and `theta` in
-    place, in order for FORWARD and in reverse for INVERSE.
-
-    At pair (i, j) a nonvanishing lambda_i + theta_j moves one unit from
-    lambda_i to theta_j (FORWARD) or back (INVERSE).  With a `records` list,
-    one StepRecord per step is appended to it.
-    """
-    if direction is Direction.FORWARD:
-        steps, d = order.steps, 1
-    else:
-        steps, d = reversed(order.steps), -1
-    for pair in steps:
-        i, j = pair
-        s = lam[i - 1] + theta[j - 1]
-        move = not congruent_zero(s, p)
-        if move:
-            lam[i - 1] -= d
-            theta[j - 1] += d
-        if records is not None:
-            records.append(
-                StepRecord(
-                    len(records) + 1,
-                    pair,
-                    Action.MOVE if move else Action.NOOP,
-                    s,
-                    _valid_weight(tuple(lam), tuple(theta)),
-                )
-            )
+def _steps(lam: list[int], theta: list[int], indices, p: Modulus, d: int = 1) -> None:
+    """The transform core: the step rule, applied to `lam` and `theta` in
+    place at each (a, b) of `indices` in turn, the indices of lambda_i and
+    theta_j of an excess pair (i, j).  Unless lambda_i + theta_j vanishes
+    mod p, it moves d units from lambda_i to theta_j: d = 1 forward, -1
+    inverse."""
+    for a, b in indices:
+        if not congruent_zero(lam[a] + theta[b], p):
+            lam[a] -= d
+            theta[b] += d

@@ -399,6 +399,17 @@ def test_capacity_errors_exit_3():
     assert code == 3
 
 
+def test_verify_order_cap_bounds_the_order_ideals():
+    # M = 5: 132 order ideals per weight (and 292,864 linear extensions)
+    verify = ["verify", "--M", "5", "--N", "6", "--p", "2", "--box", "-1:1", "--check", "order"]
+    code, out, _ = invoke(verify)
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+    assert invoke([*verify, "--cap", "132"])[0] == 0
+    code, _, err = invoke([*verify, "--cap", "131"])
+    assert code == 3 and "132 order ideals" in err
+
+
 def test_malformed_input_lines_reported_with_numbers():
     # line 4 holds an integer beyond Python's default int-string digit limit
     huge = "9" * 5000

@@ -14,7 +14,7 @@ from glmn_weights import kernels
 from glmn_weights.classify import GroupConvention, is_relevant_orbit
 from glmn_weights.core import Modulus, SuperRank, Weight
 from glmn_weights.roots import PairIndex
-from glmn_weights.serganova import StepOrder, all_linear_extensions, order_v1, order_v2
+from glmn_weights.serganova import StepOrder, ideal_lattice, order_v1, order_v2
 
 needs_compiled = pytest.mark.skipif(
     not kernels.compiled_available(), reason="compiled backend not built"
@@ -42,14 +42,18 @@ def test_backend_selection(monkeypatch):
 def test_scan_parity():
     s1 = steps_of(order_v1(2))
     s2 = steps_of(order_v2(2))
-    orders = tuple(steps_of(o) for o in all_linear_extensions(2))
+    ideals = ideal_lattice(2)
     for p in (0, 2, 3):
         args = (2, 3, p, -1, 1)
         assert kernels.compiled.scan_image(*args, s1, 20) == kernels.pure.scan_image(
             *args, s1, 20
         )
-        assert kernels.compiled.scan_order(*args, orders, 20) == kernels.pure.scan_order(
-            *args, orders, 20
+        assert kernels.compiled.scan_order(*args, s1, ideals, 20) == kernels.pure.scan_order(
+            *args, s1, ideals, 20
+        )
+        as_lists = [[I, J, list(x)] for I, J, x in ideals]
+        assert kernels.compiled.scan_order(*args, s1, as_lists, 20) == kernels.pure.scan_order(
+            *args, s1, ideals, 20
         )
         assert kernels.compiled.scan_trace(*args, s1, s2, 20) == kernels.pure.scan_trace(
             *args, s1, s2, 20
@@ -92,28 +96,34 @@ def test_scan_parity_degenerate_m0():
     assert kernels.compiled.scan_theorem(*args, (), 20) == kernels.pure.scan_theorem(
         *args, (), 20
     )
-    assert kernels.compiled.scan_order(*args, ((),), 20) == kernels.pure.scan_order(
-        *args, ((),), 20
+    assert kernels.compiled.scan_order(*args, (), (), 20) == kernels.pure.scan_order(
+        *args, (), (), 20
     )
     assert kernels.compiled.scan_trace(*args, (), (), 20) == kernels.pure.scan_trace(
         *args, (), (), 20
     )
 
 
+def malformed(ideals):
+    """The lattice table with the pairs of its edges in reverse order: it
+    keeps the structure the scans require, so they walk it, but its steps
+    disagree on many weights."""
+    return tuple((I, J, ideals[-1 - k][2]) for k, (I, J, _) in enumerate(ideals))
+
+
 def scan_calls(M, N, p, lo, hi, cap=20, reverse=False):
-    """The four scans with the canonical orders, as (scan, args) pairs;
-    reverse=True reverses the steps and the list of orders, which then
-    starts with the reversed column order: the one the others are compared
-    with."""
+    """The four scans with the canonical orders and the lattice table, as
+    (scan, args) pairs; reverse=True reverses the steps and the pairs of
+    the table's edges (malformed)."""
     s1, s2 = steps_of(order_v1(M)), steps_of(order_v2(M))
-    orders = tuple(steps_of(o) for o in all_linear_extensions(M))
+    ideals = ideal_lattice(M)
     if reverse:
-        s1, s2, orders = s1[::-1], s2[::-1], (s1[::-1],) + orders[::-1]
+        s1, s2, ideals = s1[::-1], s2[::-1], malformed(ideals)
     box = (M, N, p, lo, hi)
     return (
         ("scan_image", (*box, s1, cap)),
         ("scan_theorem", (*box, s1, cap)),
-        ("scan_order", (*box, orders, cap)),
+        ("scan_order", (*box, s1, ideals, cap)),
         ("scan_trace", (*box, s1, s2, cap)),
     )
 
@@ -252,35 +262,56 @@ def test_compiled_theorem_walk_widens_by_the_11_steps(p):
         assert kernels.compiled.scan_theorem(2, 3, p, -1, 1, steps, 1000) == (total, fails)
 
 
+def lattice_walk(M, N, p, lo, hi, steps, ideals):
+    """The order scan written with replay: (total, uncapped failures).  The
+    first edge of an ideal sets its state, every further edge must give
+    the same state, and the top state must equal the replay of steps."""
+    fails = []
+    for lam, theta in dominant_box(M, N, lo, hi, hi):
+        states = {0: (lam, theta)}
+        for k, (I, J, x) in enumerate(ideals):
+            state = replay(*states[J], p, (tuple(x),))
+            if I not in states:
+                states[I] = state
+            elif state != states[I]:
+                fails.append(("order_mismatch", lam, theta, k))
+        top = ideals[-1][0] if ideals else 0
+        if replay(lam, theta, p, steps) != states[top]:
+            fails.append(("order_mismatch", lam, theta, len(ideals)))
+    return len(dominant_box(M, N, lo, hi, hi)) * (len(ideals) + 1), fails
+
+
 @needs_compiled
 def test_compiled_failure_reports():
-    # Reversed steps are not a linear extension, so the scans must report
-    # failures: kinds, tuples, order index, flags, box order and cap as
+    # Reversed steps are not a linear extension, and a table with its pairs
+    # reversed is not the lattice, so the scans must report failures:
+    # kinds, tuples, comparison index, flags, box order and cap as
     # documented.
     M, N, p, lo, hi = 2, 3, 2, -1, 1
     rank, mod = SuperRank(M, N), Modulus(p)
     v1 = steps_of(order_v1(M))
     rv1, rv2 = v1[::-1], steps_of(order_v2(M))[::-1]
-    orders = (v1, rv1)
     box = [(c[:M], c[M:]) for c in product(range(lo, hi + 1), repeat=M + N)]
-    order_fails, box_mismatches = [], []
+    box_mismatches = []
     for lam, theta in box:
-        if is_dominant(lam, theta):
-            ref = replay(lam, theta, p, v1)
-            for idx, order in enumerate(orders):
-                if replay(lam, theta, p, order) != ref:
-                    order_fails.append(("order_mismatch", lam, theta, idx))
         pred = is_relevant_orbit(Weight(lam, theta), rank, mod, GroupConvention.UPLUS)
         if pred != is_member(lam, theta, p, rv1):
             box_mismatches.append(("theorem_mismatch", lam, theta, pred, not pred))
-    dominant = sum(is_dominant(lam, theta) for lam, theta in box)
     theorem_total, theorem_fails = chain_walk_theorem(M, N, p, lo, hi, rv1)
-    assert len(order_fails) > 3 and len(theorem_fails) > 3
+    assert len(theorem_fails) > 3
     # every failure the chain walks name is a counterexample on the box
     assert set(theorem_fails) <= set(box_mismatches)
+    orders = (
+        (rv1, ideal_lattice(M)),  # only the top comparison fails
+        (v1, malformed(ideal_lattice(M))),  # edges fail
+    )
+    for steps, ideals in orders:
+        order_total, order_fails = lattice_walk(M, N, p, lo, hi, steps, ideals)
+        assert len(order_fails) > 3
+        for cap in (1, 3, len(box)):
+            total, fails = kernels.compiled.scan_order(M, N, p, lo, hi, steps, ideals, cap)
+            assert (total, fails) == (order_total, order_fails[:cap])
     for cap in (1, 3, len(box)):
-        total, fails = kernels.compiled.scan_order(M, N, p, lo, hi, orders, cap)
-        assert (total, fails) == (2 * dominant, order_fails[:cap])
         total, fails = kernels.compiled.scan_theorem(M, N, p, lo, hi, rv1, cap)
         assert (total, fails) == (theorem_total, theorem_fails[:cap])
 
@@ -321,12 +352,13 @@ def unchecked_order(M, steps):
 @pytest.mark.parametrize("M,N,p,lo,hi", ((3, 4, 2, -2, 2), (2, 5, 2, -1, 2)))
 def test_backends_walk_the_same_weights(monkeypatch, M, N, p, lo, hi):
     # The compiled odometers and core.dominant_weights must visit the same
-    # weights in the same order: the canonical steps, reversed steps (which
-    # fail on many weights) and the orders in reverse, at several caps.  The
-    # pure scans keep the first `cap` failures (see test_oracle), so one
-    # uncapped pure run is the reference for every cap.
+    # weights in the same order: the canonical steps and lattice table,
+    # then reversed steps and a malformed table (which fail on many
+    # weights), at several caps.  The pure scans keep the first `cap`
+    # failures (see test_oracle), so one uncapped pure run is the reference
+    # for every cap.
     monkeypatch.setattr(kernels.pure, "StepOrder", unchecked_order)
-    uncapped = (hi - lo + 1) ** (M + N) * len(all_linear_extensions(M))
+    uncapped = (hi - lo + 1) ** (M + N) * (len(ideal_lattice(M)) + 1)
     failing = set()
     for reverse in (False, True):
         for scan, args in scan_calls(M, N, p, lo, hi, uncapped, reverse):
@@ -337,3 +369,46 @@ def test_backends_walk_the_same_weights(monkeypatch, M, N, p, lo, hi):
             if fails:
                 failing.add(scan)
     assert len(failing) == 4  # reversed steps make every scan report failures
+
+
+@pytest.mark.parametrize(
+    "ideals",
+    (
+        ((1, 1, (1, 1)),),  # J = I
+        ((1, -1, (1, 1)),),  # J before the empty ideal
+        ((2, 0, (1, 1)),),  # ideal 1 skipped
+        ((1, 0, (2, 1)), (2, 1, (1, 1)), (1, 0, (2, 2))),  # back to an earlier ideal
+        ((1, 0, (1, 2)),),  # not an excess pair
+        ((1, 0, (3, 1)),),  # a pair beyond M
+        ((1, 0),),  # no pair
+        ((1, 0, (1,)),),  # half a pair
+    ),
+)
+def test_scan_order_refuses_a_table_out_of_order(ideals):
+    # every state must be set before it is read: both backends refuse the
+    # same tables, before visiting a weight
+    steps = steps_of(order_v1(2))
+    for be in [kernels.pure] + ([kernels.compiled] if kernels.compiled_available() else []):
+        with pytest.raises(ValueError):
+            be.scan_order(2, 3, 2, -1, 1, steps, ideals, 20)
+
+
+@needs_compiled
+def test_compiled_order_refuses_a_table_deeper_than_its_steps():
+    # a chain of edges, each stepping (1, 1) again: the compiled scan holds
+    # at most 2080 steps between a weight and a state, as many as a linear
+    # extension has at M = 63; past that it refuses, and the pure scan runs
+    def chain(n):
+        return tuple((k, k - 1, (1, 1)) for k in range(1, n + 1))
+
+    args = (1, 2, 2, 0, 1, ((1, 1),))
+    assert kernels.compiled.scan_order(*args, chain(2080), 5) == kernels.pure.scan_order(
+        *args, chain(2080), 5
+    )
+    with pytest.raises(OverflowError):
+        kernels.compiled.scan_order(*args, chain(2081), 5)
+    total, fails = kernels.pure.scan_order(*args, chain(2081), 5)
+    # 6 dominant weights; a step keeps lambda_1 + theta_1, so every (1, 1)
+    # step moves when the first one does: the top state differs from
+    # forward on the 3 weights where that sum is odd
+    assert total == 6 * 2082 and [f[3] for f in fails] == [2081] * 3

@@ -19,6 +19,7 @@ from glmn_weights.core import (
 )
 from glmn_weights.oracle import (
     Box,
+    _extension_through,
     enumerate_box,
     run_check,
     verify_image,
@@ -122,13 +123,75 @@ def test_verify_order_invariance_passes():
         for w in enumerate_box(SuperRank(2, 3), Box(-1, 1))
         if classify.is_standard_dominant(w, SuperRank(2, 3))
     )
-    assert report.total == dominant_count * 2  # two linear extensions at M=2
-    assert verify_order_invariance(SuperRank(3, 4), Modulus(2), Box(-1, 1)).passed
+    # the 5 edges of the lattice of order ideals at M=2, and the top
+    # comparison, per dominant weight
+    assert report.total == dominant_count * 6
+    report = verify_order_invariance(SuperRank(3, 4), Modulus(2), Box(-1, 1))
+    assert report.passed and report.total == Box(-1, 1).dominant_count(SuperRank(3, 4)) * 22
+    # M = 0: no edge, but the top comparison still counts each weight
+    assert verify_order_invariance(SuperRank(0, 2), Modulus(2), Box(-1, 1)).total == 6
 
 
 def test_verify_order_capacity():
-    with pytest.raises(CapacityError):
+    # the cap bounds the order ideals the walk holds per weight: 14 at M=3
+    with pytest.raises(CapacityError, match="14 order ideals"):
         verify_order_invariance(SuperRank(3, 4), Modulus(2), Box(-1, 1), cap=3)
+    with pytest.raises(CapacityError):
+        verify_order_invariance(SuperRank(3, 4), Modulus(2), Box(-1, 1), cap=13)
+    assert verify_order_invariance(SuperRank(3, 4), Modulus(2), Box(-1, 1), cap=14).passed
+    # M = 5 (132 ideals, 292,864 linear extensions) runs at the default cap
+    for be in _backends():
+        report = verify_order_invariance(SuperRank(5, 6), Modulus(2), Box(-1, 1), backend=be)
+        assert report.passed and report.total == Box(-1, 1).dominant_count(SuperRank(5, 6)) * 331
+
+
+def all_extensions_walk(rank, p, box):
+    """The order check as it was stated first, written here: every linear
+    extension gives each dominant weight of the box the result of the
+    first one.  Returns the weights on which some extension disagrees."""
+    orders = serganova.all_linear_extensions(rank.M)
+    return [
+        w
+        for w in dominant_weights(rank.M, rank.N, box.lo, box.hi)
+        if len({serganova.forward(w, p, o, rank) for o in orders}) > 1
+    ]
+
+
+def _parity_context_steps(lam, theta, indices, p, d=1):
+    # at (1, 1) at rank (2|3), also move theta_3 when lambda_2 is odd:
+    # (2, 2), incomparable with (1, 1), changes lambda_2, so the two orders
+    # of those steps disagree
+    for a, b in indices:
+        _REAL_STEPS(lam, theta, ((a, b),), p, d)
+        if (a, b) == (0, 0) and len(lam) == 2 and len(theta) == 3 and lam[1] % 2:
+            theta[2] += d
+
+
+_REAL_STEPS = serganova._steps
+
+
+@pytest.mark.parametrize("M,N", ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5)))
+def test_lattice_walk_agrees_with_every_extension(monkeypatch, M, N):
+    # On the transform the two walks pass together; under a step that does
+    # not commute, a failing extension walk means a failing lattice walk
+    # (the lattice argument: agreeing edges make every extension agree).
+    rank = SuperRank(M, N)
+    boxes = [(Box(-1, 1), 2), (Box(-1, 1), 3), (Box(-2, 1), 2), (Box(0, 2), 5)]
+    for box, p in boxes[: 2 if M == 4 else 4]:
+        mod = Modulus(p)
+        for be in _backends():
+            assert verify_order_invariance(rank, mod, box, backend=be).passed
+        assert all_extensions_walk(rank, mod, box) == []
+    if M == 2:
+        monkeypatch.setattr(serganova, "_steps", _parity_context_steps)
+        for box, p in boxes:
+            mod = Modulus(p)
+            report = verify_order_invariance(rank, mod, box, backend=_pure(), failure_cap=10**6)
+            disagreeing = all_extensions_walk(rank, mod, box)
+            assert disagreeing and not report.passed
+            named = {(tuple(f["weight"]["lambda"]), tuple(f["weight"]["theta"]))
+                     for f in report.failures}
+            assert {(w.lam, w.theta) for w in disagreeing} <= named
 
 
 def test_verify_theorem_passes():
@@ -449,10 +512,10 @@ def test_mutation_failures_are_capped_and_ordered(monkeypatch):
 
 
 def test_mutation_order_failures_name_the_broken_order(monkeypatch):
-    # one linear extension gives a wrong result; the report must name it
+    # forward broken for the column order only: every edge of the lattice
+    # agrees, so the top comparison must catch it, and it names v1
     rank, mod = SuperRank(3, 4), Modulus(2)
-    broken = serganova.all_linear_extensions(3)[-1]
-    assert broken != serganova.order_v1(3)
+    broken = serganova.order_v1(3)
     real = serganova.forward
 
     def forward(w, p, order, rank):
@@ -465,6 +528,45 @@ def test_mutation_order_failures_name_the_broken_order(monkeypatch):
     report = verify_order_invariance(rank, mod, Box(-1, 1), backend=_pure(), failure_cap=5)
     assert len(report.failures) == 5
     assert all(f["order"] == [list(s) for s in broken.steps] for f in report.failures)
+
+
+def test_mutation_order_broken_step_fails_at_an_edge(monkeypatch):
+    # a step that also writes theta_3, outside its pair (1, 1), when
+    # lambda_2 is odd: forward under v1 (2,1), (1,1), (2,2) runs the same
+    # step, so the top ideal agrees with it; the edge that steps (1, 1)
+    # after (2, 2) disagrees, and the named order must reach the ideal
+    # {(2,1), (2,2)} and then step (1, 1)
+    monkeypatch.setattr(serganova, "_steps", _parity_context_steps)
+    rank, mod = SuperRank(2, 3), Modulus(2)
+    report = verify_order_invariance(rank, mod, Box(-1, 1), backend=_pure(), failure_cap=100)
+    named = serganova.StepOrder(2, ((2, 1), (2, 2), (1, 1)))
+    assert all(f["order"] == [list(s) for s in named.steps] for f in report.failures)
+    # exactly the weights on which the two extensions disagree: those where
+    # (2, 2) moves lambda_2 and so flips its parity
+    v1 = serganova.order_v1(2)
+    disagreeing = [
+        {"lambda": list(w.lam), "theta": list(w.theta)}
+        for w in dominant_weights(2, 3, -1, 1)
+        if serganova.forward(w, mod, named, rank) != serganova.forward(w, mod, v1, rank)
+    ]
+    assert len(disagreeing) > 3
+    assert [f["weight"] for f in report.failures] == disagreeing
+
+
+def test_failures_name_an_extension_through_their_edge():
+    # for every comparison of the lattice walk, the named order is a linear
+    # extension that reaches I - x by first edges and then steps x
+    for M in range(5):
+        v1 = serganova.order_v1(M).steps
+        ideals = serganova.ideal_lattice(M)
+        sets = {0: frozenset()}
+        for I, J, x in ideals:
+            sets.setdefault(I, sets[J] | {x})
+        for k, (I, J, x) in enumerate(ideals):
+            order = serganova.StepOrder(M, tuple(_extension_through(v1, ideals, k)))
+            assert set(order.steps[: len(sets[J])]) == sets[J]
+            assert order.steps[len(sets[J])] == x
+        assert tuple(_extension_through(v1, ideals, len(ideals))) == v1
 
 
 def test_compiled_backend_at_larger_scale():

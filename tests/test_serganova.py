@@ -1,9 +1,10 @@
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from glmn_weights import serganova
 from glmn_weights.core import (
     CapacityError,
     DimensionMismatch,
@@ -21,7 +22,9 @@ from glmn_weights.serganova import (
     Trace,
     all_linear_extensions,
     forward,
+    ideal_lattice,
     inverse,
+    linear_extension_count,
     order_v1,
     order_v2,
 )
@@ -124,6 +127,79 @@ def test_all_linear_extensions_deterministic_and_sorted():
 def test_all_linear_extensions_capacity_error():
     with pytest.raises(CapacityError):
         all_linear_extensions(3, cap=5)
+    assert len(all_linear_extensions(3, cap=16)) == 16
+    with pytest.raises(CapacityError, match="16 linear extensions"):
+        all_linear_extensions(3, cap=15)
+
+
+def test_linear_extension_count_is_the_hook_length_formula():
+    for M in range(5):
+        assert linear_extension_count(M) == len(all_linear_extensions(M))
+    assert linear_extension_count(5) == 292_864
+
+
+def test_all_linear_extensions_refuses_before_enumerating(monkeypatch):
+    # 292,864 extensions at M = 5: the count refuses at once, where
+    # enumerating up to the cap would build 10,000 step orders first
+    built = []
+    monkeypatch.setattr(serganova, "StepOrder", lambda *a: built.append(a))
+    with pytest.raises(CapacityError, match="292864 linear extensions"):
+        all_linear_extensions(5)
+    assert built == []
+
+
+def brute_force_down_sets(M):
+    """Every subset of the excess pairs closed downward, by size."""
+    pairs = all_pairs(M)
+    return [
+        frozenset(c)
+        for k in range(len(pairs) + 1)
+        for c in combinations(pairs, k)
+        if all(x in c for y in c for x in pairs if pair_leq(x, y))
+    ]
+
+
+@pytest.mark.parametrize("M", range(5))
+def test_ideal_lattice_against_brute_force(M):
+    ideals = ideal_lattice(M)
+    down_sets = brute_force_down_sets(M)
+    assert len(down_sets) == (1, 2, 5, 14, 42)[M]
+    assert len(ideals) == (0, 1, 5, 21, 84)[M]
+    # the ideals, reconstructed along first edges, in size order
+    sets = [frozenset()]
+    for I, J, x in ideals:
+        if I == len(sets):
+            sets.append(sets[J] | {x})
+    assert sorted(sets, key=len) == sets and set(sets) == set(down_sets)
+    # one edge per ideal I and maximal pair x of I, pointing to I - x
+    expected = {
+        (I, x, I - {x})
+        for I in down_sets
+        for x in I
+        if not any(y != x and pair_leq(x, y) for y in I)
+    }
+    assert {(sets[I], x, sets[J]) for I, J, x in ideals} == expected
+    assert len(expected) == len(ideals)
+    # grouped by ideal; within one, the first edge removes its last pair in
+    # the column order
+    assert [I for I, _, _ in ideals] == sorted(I for I, _, _ in ideals)
+    v1 = order_v1(M).steps
+    for I, J, x in ideals:
+        if (I, J, x) == next(e for e in ideals if e[0] == I):
+            assert x == max(sets[I], key=v1.index)
+
+
+def test_ideal_lattice_counts_and_cap():
+    # Catalan(M + 1) ideals; the cap refuses before the table is built
+    assert [len(ideal_lattice(M)) for M in (5, 6)] == [330, 1287]
+    assert ideal_lattice(5, cap=132)[-1][0] == 131
+    with pytest.raises(CapacityError, match="132 order ideals"):
+        ideal_lattice(5, cap=131)
+    assert ideal_lattice(8)[-1][0] == 4861  # M = 8 fits the default cap
+    with pytest.raises(CapacityError, match="16796 order ideals"):
+        ideal_lattice(9)
+    with pytest.raises(ValidationError):
+        ideal_lattice(2, cap=0)
 
 
 def test_all_linear_extensions_contain_both_canonical_orders():
@@ -370,7 +446,7 @@ def test_trace_start_must_fit_its_order():
 
 
 def test_first_linear_extension_is_the_column_order():
-    # the order check compares every extension with the first one
+    # lexicographic order puts the column order first
     for M in range(5):
         assert all_linear_extensions(M)[0] == order_v1(M)
 
@@ -387,3 +463,11 @@ def test_dimension_and_order_mismatch_errors():
         forward(W((1,), (0, 0, 0)), Modulus(2), order_v1(2), r)
     with pytest.raises(ValidationError):
         forward(W((1, 0), (0, 0, 0)), Modulus(2), order_v1(1), r)
+
+
+def test_trace_refuses_a_direction_that_is_not_a_direction():
+    # the string "forward" used to replay the inverse silently
+    with pytest.raises(ValidationError, match="Direction"):
+        Trace("forward", order_v1(1), W((1,), (0, 0)), Modulus(2))
+    tr = Trace(Direction.FORWARD, order_v1(1), W((1,), (0, 0)), Modulus(2))
+    assert tr.records[-1].state_after == W((0,), (1, 0))
