@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import Modulus, SuperRank, Weight, congruent_zero, split_theta
+from .core import Modulus, SuperRank, Weight, congruent_zero
 
 
 class GroupConvention(Enum):
@@ -66,7 +66,9 @@ def is_mixed_highest_weight(w: Weight, rank: SuperRank, p: Modulus) -> bool:
     """Highest weight for the mixed Borel: dominant chains plus the
     vanishing condition on adjacent equal entries."""
     w.require_rank(rank)
-    return is_standard_dominant(w, rank) and _vanishing_on_equalities(w.lam, w.theta, rank.M, p)
+    lam, theta = w.lam, w.theta
+    return (_non_increasing(lam) and _non_increasing(theta)
+            and _vanishing_on_equalities(lam, theta, rank.M, p))
 
 
 def is_relevant_orbit(
@@ -115,15 +117,10 @@ def orbit_representative(w: Weight, rank: SuperRank) -> OrbitMatrix:
     the trailing diagonal carries -theta' entrywise.
     """
     w.require_rank(rank)
-    s = split_theta(w, rank)
-    M = rank.M
-    ent: dict[tuple[int, int], int] = {}
-    for i in range(1, M + 1):
-        ent[(i, i)] = -(w.lam[i - 1] + w.theta[i - 1])
-    for c in range(1, M + 1):
-        ent[(M + 1, c)] = -w.theta[c - 1]
-    ent[(M + 1, M + 1)] = -s.head[M]
-    for r, tp in enumerate(s.tail, start=1):
-        ent[(M + 1 + r, M + 1 + r)] = -tp
-    entries = tuple(sorted((r, c, e) for (r, c), e in ent.items()))
-    return OrbitMatrix(rank.N, entries)
+    lam, theta, M = w.lam, w.theta, rank.M
+    # row-major: rows 1..M, row M+1 (columns 1..M, then the diagonal), the
+    # trailing rows
+    entries = [(i, i, -(lam[i - 1] + theta[i - 1])) for i in range(1, M + 1)]
+    entries += [(M + 1, c, -theta[c - 1]) for c in range(1, M + 2)]
+    entries += [(r, r, -theta[r - 1]) for r in range(M + 2, rank.N + 1)]
+    return OrbitMatrix(rank.N, tuple(entries))

@@ -2,8 +2,9 @@
 
 Subcommands: transform, classify, orbit-rep, roots, enumerate, verify.
 Weights travel as {"lambda": [...], "theta": [...]} JSON objects, one per
-line.  Exit codes: 0 success, 1 verification failure or bad input lines,
-2 usage/validation error, 3 capacity/limit error.
+line.  Exit codes: 0 success, 1 verification failure, bad input lines, or
+output cut short because the reader closed the pipe (`... | head`), 2
+usage/validation error, 3 capacity/limit error.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 from . import oracle, serganova
@@ -254,7 +256,7 @@ def _weight_columns(rank):
     ]
 
 
-def _trace_json(tr):
+def _trace_json(records):
     return [
         {
             "k": rec.k,
@@ -263,7 +265,7 @@ def _trace_json(tr):
             "sum_before": rec.sum_before,
             "state_after": rec.state_after.to_json_dict(),
         }
-        for rec in tr.records
+        for rec in records
     ]
 
 
@@ -272,9 +274,13 @@ def _run_transform(args, fin, fout, ferr):
     direction = serganova.Direction(args.direction)
 
     def convert(w):
-        obj = fn(w, args.p, args.order, args.rank).to_json_dict()
-        if args.trace:
-            obj["trace"] = _trace_json(serganova.Trace(direction, args.order, w, args.p))
+        if not args.trace:
+            return fn(w, args.p, args.order, args.rank).to_json_dict()
+        # the transform runs once: its result is the state after the last
+        # step, or the weight itself when there is no step (M = 0)
+        records = serganova.Trace(direction, args.order, w, args.p).records
+        obj = (records[-1].state_after if records else w).to_json_dict()
+        obj["trace"] = _trace_json(records)
         return obj
 
     return _stream(args, fin, fout, ferr, convert)
@@ -403,7 +409,16 @@ def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
         print(f"error: {exc}", file=ferr)
         return EXIT_USAGE
     try:
-        return run(args, fin, fout, ferr)
+        code = run(args, fin, fout, ferr)
+        fout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader stopped reading: stop quietly.  Standard output is
+        # pointed at devnull so that the flush at interpreter exit does not
+        # fail again (the recipe in the Python documentation on SIGPIPE).
+        if stdout is None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAILURES
     except (ValidationError, OverflowError) as exc:
         print(f"error: {exc}", file=ferr)
         return EXIT_USAGE

@@ -105,7 +105,7 @@ class Weight:
         return len(self.lam) == rank.M and len(self.theta) == rank.N
 
     def require_rank(self, rank: SuperRank) -> None:
-        if not self.matches(rank):
+        if len(self.lam) != rank.M or len(self.theta) != rank.N:
             raise DimensionMismatch(
                 f"weight of shape ({len(self.lam)}|{len(self.theta)}) "
                 f"does not match rank ({rank.M}|{rank.N})"

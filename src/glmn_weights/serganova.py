@@ -64,6 +64,11 @@ class Direction(Enum):
     INVERSE = "inverse"
 
 
+# Enum members read once: an attribute lookup on an Enum class costs about
+# 0.15 us on CPython 3.11, half a transform step.
+_NOOP, _MOVE, _INVERSE = Action.NOOP, Action.MOVE, Direction.INVERSE
+
+
 @dataclass(frozen=True)
 class StepOrder:
     """A linear extension of the excess-pair order for a given M."""
@@ -97,6 +102,15 @@ class StepOrder:
         """Per step (i, j), the list indices i - 1 and j - 1 of lambda_i and
         theta_j."""
         return tuple((i - 1, j - 1) for i, j in self.steps)
+
+    @cached_property
+    def _walks(self) -> tuple[tuple[tuple, ...], tuple[tuple, ...]]:
+        """The steps a trace replays in turn, forward and inverse (the pairs
+        in reverse), each as (k, (i, j), i - 1, j - 1, ((i - 1, j - 1),)):
+        the last entry is the one-step list of indices for _steps."""
+        walk = [(pair, a, b, ((a, b),)) for pair, (a, b) in zip(self.steps, self.indices)]
+        return (tuple((k, *s) for k, s in enumerate(walk, 1)),
+                tuple((k, *s) for k, s in enumerate(reversed(walk), 1)))
 
 
 @dataclass(frozen=True)
@@ -135,18 +149,23 @@ class Trace:
             raise DimensionMismatch(
                 f"trace start of shape ({len(lam)}|{len(theta)}) does not fit an order for M={M}"
             )
-        steps, d = zip(self.order_used.steps, self.order_used.indices), 1
-        if self.direction is Direction.INVERSE:
-            steps, d = reversed(tuple(steps)), -1
+        is_inverse = self.direction is _INVERSE
+        p, d, step, new = self.p, -1 if is_inverse else 1, _steps, object.__new__
         lam, theta = list(lam), list(theta)
         records: list[StepRecord] = []
-        for k, (pair, index) in enumerate(steps, 1):
-            a, b = index
-            s, before = lam[a] + theta[b], lam[a]
-            _steps(lam, theta, (index,), self.p, d)
-            action = Action.NOOP if lam[a] == before else Action.MOVE
-            state = _valid_weight(tuple(lam), tuple(theta))
-            records.append(StepRecord(k, pair, action, s, state))
+        for k, pair, a, b, index in self.order_used._walks[is_inverse]:
+            before = lam[a]
+            s = before + theta[b]
+            step(lam, theta, index, p, d)
+            # built as _valid_weight builds a Weight: the fields are known valid
+            rec = new(StepRecord)
+            fields = rec.__dict__
+            fields["k"] = k
+            fields["pair"] = pair
+            fields["action"] = _NOOP if lam[a] == before else _MOVE
+            fields["sum_before"] = s
+            fields["state_after"] = _valid_weight(tuple(lam), tuple(theta))
+            records.append(rec)
         return tuple(records)
 
 
@@ -249,23 +268,22 @@ def _ideal_lattice(M: int) -> tuple[tuple[int, int, PairIndex], ...]:
 
 def forward(w: Weight, p: Modulus, order: StepOrder, rank: SuperRank) -> Weight:
     """Run the transform toward the mixed Borel and return its result."""
-    return _run(w, p, order, rank, Direction.FORWARD)
+    return _run(w, p, order, rank, 1)
 
 
 def inverse(w: Weight, p: Modulus, order: StepOrder, rank: SuperRank) -> Weight:
     """Run the inverse transform (reverse traversal, unit moves undone)."""
-    return _run(w, p, order, rank, Direction.INVERSE)
+    return _run(w, p, order, rank, -1)
 
 
-def _run(w: Weight, p: Modulus, order: StepOrder, rank: SuperRank, direction: Direction) -> Weight:
+def _run(w: Weight, p: Modulus, order: StepOrder, rank: SuperRank, d: int) -> Weight:
+    """Check the shapes, then take the steps of `order`, in reverse for the
+    inverse (d = -1)."""
     w.require_rank(rank)
     if order.M != rank.M:
         raise ValidationError(f"step order is for M={order.M}, rank has M={rank.M}")
     lam, theta = list(w.lam), list(w.theta)
-    if direction is Direction.FORWARD:
-        _steps(lam, theta, order.indices, p, 1)
-    else:
-        _steps(lam, theta, reversed(order.indices), p, -1)
+    _steps(lam, theta, order.indices if d == 1 else reversed(order.indices), p, d)
     return _valid_weight(tuple(lam), tuple(theta))
 
 

@@ -136,6 +136,19 @@ def test_orbit_representative_pattern_shape():
     assert m.exponent(1, 2) is None
 
 
+def test_orbit_representative_entries_are_row_major():
+    # every rank up to (3|6): the cells the docstring names, sorted by
+    # (row, column), with a weight whose entries are all distinct
+    for M in range(4):
+        for N in range(M + 1, 7):
+            lam, theta = tuple(range(10, 10 + M)), tuple(range(-1, -1 - N, -1))
+            m = orbit_representative(W(lam, theta), SuperRank(M, N))
+            cells = {(i, i): -(lam[i - 1] + theta[i - 1]) for i in range(1, M + 1)}
+            cells.update({(M + 1, c): -theta[c - 1] for c in range(1, M + 2)})
+            cells.update({(r, r): -theta[r - 1] for r in range(M + 2, N + 1)})
+            assert m.entries == tuple(sorted((r, c, e) for (r, c), e in cells.items()))
+
+
 def test_orbit_representative_zero_exponents_are_structural():
     m = orbit_representative(W((0,), (0, 0)), SuperRank(1, 2))
     assert m.entries == ((1, 1, 0), (2, 1, 0), (2, 2, 0))

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -87,6 +88,12 @@ def test_transform_trace_output_is_unchanged():
     base = ["transform", "--M", "2", "--N", "3", "--p", "3", "--trace"]
     for direction, want in (("forward", TRACE_FORWARD), ("inverse", TRACE_INVERSE)):
         assert invoke([*base, "--direction", direction], TRACE_INPUT) == (0, want, "")
+    # at M = 0 there is no step: the result is the weight itself
+    base = ["transform", "--M", "0", "--N", "1", "--p", "3", "--trace"]
+    for direction in ("forward", "inverse"):
+        assert invoke([*base, "--direction", direction], '{"lambda":[],"theta":[4]}\n') == (
+            0, '{"lambda": [], "theta": [4], "trace": []}\n', ""
+        )
 
 
 def test_transform_roundtrip_reproduces_input():
@@ -463,3 +470,32 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["passed"] is True
+
+
+def _closed_pipe_run(argv, stdin, keep):
+    """Run the CLI with stdout piped to a reader that takes `keep` bytes and
+    closes the pipe, as `| head -c keep` does.  Standard output is block
+    buffered, as it is without PYTHONUNBUFFERED."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([sys.executable, "-m", "glmn_weights", *argv], env=env,
+                            stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(keep) if keep else b""
+    proc.stdout.close()
+    err = proc.stderr.read()
+    return head, proc.wait(timeout=60), err
+
+
+def test_closed_pipe_stops_quietly(tmp_path):
+    # 20,000 output lines overflow the pipe, so a write in the stream fails
+    lines = (json.dumps({"lambda": [k % 7, 1, -k % 5], "theta": [k % 3, 0, 2, -1, k % 11]})
+             for k in range(20_000))
+    path = tmp_path / "weights.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with open(path, encoding="utf-8") as fin:
+        got = _closed_pipe_run(["transform", "--M", "3", "--N", "5", "--p", "3"], fin, 10)
+    assert got == (b'{"lambda":', cli.EXIT_FAILURES, b"")
+    # the reader is gone before anything is written: the buffered reports
+    # fail on the last flush, and nothing is left to fail again at exit
+    argv = ["verify", "--M", "1", "--N", "2", "--p", "2", "--box", "-2:2"]
+    got = _closed_pipe_run(argv, subprocess.DEVNULL, 0)
+    assert got == (b"", cli.EXIT_FAILURES, b"")

@@ -594,3 +594,98 @@ def test_backends_agree_on_reports():
         pure, compiled = maker(kernels.pure), maker(kernels.compiled)
         assert (pure.backend, compiled.backend) == ("pure", "compiled")
         assert replace(compiled, backend="pure") == pure
+
+
+def two_trace_walk(M, N, p, lo, hi, steps_v1, steps_v2, failure_cap):
+    """The trace scan with one serganova.Trace per order, even where the two
+    orders are the same: the reference for the trace both tags share at
+    M <= 1."""
+    mod = Modulus(p)
+    total = 0
+    failures = []
+    for w in dominant_weights(M, N, lo, hi):
+        total += 1
+        base = sum(w.lam) + sum(w.theta)
+        for tag, steps, chain in (("v1", steps_v1, "lambda"), ("v2", steps_v2, "theta")):
+            trace = serganova.Trace(
+                serganova.Direction.FORWARD, serganova.StepOrder(M, steps), w, mod
+            )
+            for rec in trace.records:
+                st = rec.state_after
+                after = st.lam[rec.pair.i - 1] + st.theta[rec.pair.j - 1]
+                for kind, broken in (
+                    (chain + "_monotone", not classify._non_increasing(
+                        st.lam if tag == "v1" else st.theta[: M + 1])),
+                    ("sum_conservation", sum(st.lam) + sum(st.theta) != base),
+                    ("congruence_memory", not congruent_zero(after - rec.sum_before, mod)),
+                    ("dummy_theta", st.theta[M + 1 :] != w.theta[M + 1 :]),
+                ):
+                    if broken and len(failures) < failure_cap:
+                        failures.append((f"{kind}_{tag}", w.lam, w.theta, rec.k))
+    return total, failures
+
+
+def _misdirected_steps(lam, theta, indices, p, d=1):
+    # a move puts its unit in the last theta entry instead of theta_j: at
+    # (1|2) that breaks the theta chain, at (1|3) it moves a trailing entry,
+    # and the diagonal sum is not kept
+    for a, b in indices:
+        before = lam[a]
+        _REAL_STEPS(lam, theta, ((a, b),), p, d)
+        if lam[a] != before:
+            theta[b] -= d
+            theta[-1] += d
+
+
+def _leaking_steps(lam, theta, indices, p, d=1):
+    # a move takes d from lambda_i but gives theta_j nothing: neither the
+    # total nor the diagonal sum is kept
+    for a, b in indices:
+        before = lam[a]
+        _REAL_STEPS(lam, theta, ((a, b),), p, d)
+        if lam[a] != before:
+            theta[b] -= d
+
+
+TRACE_MUTANTS = {
+    "intact": lambda mp: None,
+    "inverted-congruence": _inverted_congruence,
+    "misdirected-step": lambda mp: mp.setattr(serganova, "_steps", _misdirected_steps),
+    "leaking-step": lambda mp: mp.setattr(serganova, "_steps", _leaking_steps),
+}
+
+
+@pytest.mark.parametrize("mutant", TRACE_MUTANTS)
+def test_shared_trace_reports_what_two_traces_report(monkeypatch, mutant):
+    # At M = 1 the column and the row order are one order, and the trace
+    # scan checks both tags on the records of one trace: the failures, their
+    # tags and their order are those of one trace per order.  A substitute
+    # only reaches the pure backend; the compiled one runs intact.
+    steps = tuple(tuple(s) for s in serganova.order_v1(1).steps)
+    assert steps == tuple(tuple(s) for s in serganova.order_v2(1).steps)
+    intact = {}
+    for be in _backends():
+        for N, p, lo, hi in ((2, 2, -3, 3), (2, 3, -2, 4), (3, 2, -2, 2)):
+            for cap in (1, 3, 10**6):
+                args = (1, N, p, lo, hi, steps, steps, cap)
+                intact[be.name, args] = be.scan_trace(*args)
+                assert intact[be.name, args] == two_trace_walk(*args)
+    TRACE_MUTANTS[mutant](monkeypatch)
+    kinds = set()
+    for (name, args), result in intact.items():
+        if name == "pure":
+            got, want = kernels.pure.scan_trace(*args), two_trace_walk(*args)
+            assert got == want
+            kinds |= {kind for kind, *_ in want[1]}
+        else:
+            assert kernels.compiled.scan_trace(*args) == result
+    # the step mutants fail under both tags; every kind of failure that can
+    # occur at M = 1 occurs under one of them
+    assert kinds == {
+        "intact": set(),
+        "inverted-congruence": set(),
+        "misdirected-step": {"theta_monotone_v2", "dummy_theta_v1", "dummy_theta_v2",
+                             "congruence_memory_v1", "congruence_memory_v2"},
+        "leaking-step": {"sum_conservation_v1", "sum_conservation_v2",
+                         "congruence_memory_v1", "congruence_memory_v2"},
+    }[mutant]

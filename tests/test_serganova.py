@@ -19,6 +19,7 @@ from glmn_weights.serganova import (
     Action,
     Direction,
     StepOrder,
+    StepRecord,
     Trace,
     all_linear_extensions,
     forward,
@@ -392,12 +393,15 @@ def _replay(w, p, order, direction):
 
 
 def test_trace_records_match_an_independent_replay():
+    # one order object serves both directions and every weight; the records
+    # equal, and hash as, StepRecords built by the dataclass constructor
     r = SuperRank(2, 4)
+    orders = (order_v1(2), order_v2(2))
     for p in (0, 2, 3):
         mod = Modulus(p)
         for w in box_weights(2, 4, -1, 1):
             for fn, direction in ((forward, Direction.FORWARD), (inverse, Direction.INVERSE)):
-                for order in (order_v1(2), order_v2(2)):
+                for order in orders:
                     tr = Trace(direction, order, w, mod)
                     assert tr.records[-1].state_after == fn(w, mod, order, r)
                     got = [
@@ -405,7 +409,14 @@ def test_trace_records_match_an_independent_replay():
                          rec.state_after.lam, rec.state_after.theta)
                         for rec in tr.records
                     ]
-                    assert got == _replay(w, mod, order, direction)
+                    want = _replay(w, mod, order, direction)
+                    assert got == want
+                    built = tuple(StepRecord(k, PairIndex(*pair), action, s, W(lam, theta))
+                                  for k, pair, action, s, lam, theta in want)
+                    assert tr.records == built
+                    assert [hash(rec) for rec in tr.records] == [hash(rec) for rec in built]
+                    assert all(type(rec) is StepRecord for rec in tr.records)
+                    assert tr.records is tr.records
 
 
 def test_trace_read_later_keeps_its_own_input():
