@@ -8,10 +8,10 @@ those and the dominant weights of a box widened upward in lambda, which
 hold every dominant preimage of a box weight.  Every per-weight operation
 is routed through the public modules (looked up at call time), so the
 harness exercises the same code the library exposes and the test suite can
-substitute deliberately broken variants: the order scan steps each edge of
-the ideal lattice with serganova._steps, the transform core, and the trace
-scan reads the records of serganova.Trace, which replays that core (one
-trace per weight for both orders when they are the same, M <= 1).
+substitute deliberately broken variants.  The order and trace scans step
+int lists with serganova._steps, the transform core, one step at a time:
+the order scan along each edge of the ideal lattice, the trace scan along
+each of the two orders on its own copy of the weight.
 """
 
 from __future__ import annotations
@@ -200,16 +200,14 @@ def scan_trace(M, N, p, lo, hi, steps_v1, steps_v2, failure_cap):
     weight: lambda stays non-increasing under the column order, the first
     M+1 theta entries stay non-increasing under the row order, the total sum
     is conserved, each step preserves its diagonal sum mod p, and trailing
-    theta entries never move.  Each order's records come from one
-    serganova.Trace; when the two orders are the same (M <= 1) both tags
-    are checked on the records of one trace, so a failure is still
-    reported under each tag, in the order two traces would give."""
-    rank = SuperRank(M, N)
+    theta entries never move.  Each order steps its own copy of the
+    weight's lambda and theta lists with serganova._steps, one step at a
+    time, and the invariants are read from the lists after each step."""
+    SuperRank(M, N)  # refuses a rank with M >= N, as the other scans do
     mod = Modulus(p)
-    o1 = StepOrder(M, steps_v1)
-    o2 = StepOrder(M, steps_v2)
-    shared = o1.steps == o2.steps
-    trace, forward = serganova.Trace, serganova.Direction.FORWARD
+    orders = (("v1", StepOrder(M, steps_v1), "lambda"), ("v2", StepOrder(M, steps_v2), "theta"))
+    # bound once per scan: substitutes installed before it still apply
+    step = serganova._steps
     total = 0
     failures = []
 
@@ -220,21 +218,18 @@ def scan_trace(M, N, p, lo, hi, steps_v1, steps_v2, failure_cap):
     for w in dominant_weights(M, N, lo, hi):
         total += 1
         base = sum(w.lam) + sum(w.theta)
-        dummies = w.theta[M + 1 :]
-        # the records hold every state, the result included: no separate
-        # forward run is needed
-        records_v1 = trace(forward, o1, w, mod).records
-        records_v2 = records_v1 if shared else trace(forward, o2, w, mod).records
-        for tag, records, chain in (("v1", records_v1, "lambda"), ("v2", records_v2, "theta")):
-            for rec in records:
-                st = rec.state_after
-                if not _non_increasing(st.lam if tag == "v1" else st.theta[: M + 1]):
-                    note(f"{chain}_monotone_{tag}", w, rec.k)
-                if sum(st.lam) + sum(st.theta) != base:
-                    note(f"sum_conservation_{tag}", w, rec.k)
-                after = st.lam[rec.pair.i - 1] + st.theta[rec.pair.j - 1]
-                if not congruent_zero(after - rec.sum_before, mod):
-                    note(f"congruence_memory_{tag}", w, rec.k)
-                if st.theta[M + 1 :] != dummies:
-                    note(f"dummy_theta_{tag}", w, rec.k)
+        dummies = list(w.theta[M + 1 :])
+        for tag, order, chain in orders:
+            lam, theta = list(w.lam), list(w.theta)
+            for k, (a, b) in enumerate(order.indices, 1):
+                before = lam[a] + theta[b]
+                step(lam, theta, ((a, b),), mod)
+                if not _non_increasing(lam if tag == "v1" else theta[: M + 1]):
+                    note(f"{chain}_monotone_{tag}", w, k)
+                if sum(lam) + sum(theta) != base:
+                    note(f"sum_conservation_{tag}", w, k)
+                if not congruent_zero(lam[a] + theta[b] - before, mod):
+                    note(f"congruence_memory_{tag}", w, k)
+                if theta[M + 1 :] != dummies:
+                    note(f"dummy_theta_{tag}", w, k)
     return total, failures

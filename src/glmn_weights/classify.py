@@ -24,6 +24,11 @@ class GroupConvention(Enum):
     UPLUS = "uplus"  # chains run non-increasing
 
 
+# read once: an attribute lookup on an Enum class costs about 0.15 us on
+# CPython 3.11, and is_relevant_orbit runs once per weight in the checks
+_UMINUS = GroupConvention.UMINUS
+
+
 def _non_increasing(seq) -> bool:
     if seq:
         prev = seq[0]
@@ -83,7 +88,7 @@ def is_relevant_orbit(
     With p = 0 the sums must vanish exactly.
     """
     w.require_rank(rank)
-    chain = _non_decreasing if convention is GroupConvention.UMINUS else _non_increasing
+    chain = _non_decreasing if convention is _UMINUS else _non_increasing
     if not (chain(w.lam) and chain(w.theta)):
         return False
     return _vanishing_on_equalities(w.lam, w.theta, rank.M, p)

@@ -101,9 +101,6 @@ class Weight:
             if type(v) is not int and not _is_int(v):
                 raise ValidationError(f"weight entries must be integers, got {v!r}")
 
-    def matches(self, rank: SuperRank) -> bool:
-        return len(self.lam) == rank.M and len(self.theta) == rank.N
-
     def require_rank(self, rank: SuperRank) -> None:
         if len(self.lam) != rank.M or len(self.theta) != rank.N:
             raise DimensionMismatch(

@@ -17,8 +17,8 @@ any trailing entries ride along unchanged.
 `forward` and `inverse` map a weight to a weight and return nothing else.
 The transform core (`_steps`) applies the step rule on two int lists
 (lambda and theta) and builds no intermediate weights; it is the one
-definition of a step, which the order check's lattice walk applies one
-step at a time.  A caller that reads the steps builds
+definition of a step, which the order check's lattice walk and the trace
+check's scan apply one step at a time.  A caller that reads the steps builds
 `Trace(direction, order, w, p)` itself; the trace stores only those four
 and computes its per-step records on first read, by replaying the same
 core one step at a time.

@@ -597,9 +597,9 @@ def test_backends_agree_on_reports():
 
 
 def two_trace_walk(M, N, p, lo, hi, steps_v1, steps_v2, failure_cap):
-    """The trace scan with one serganova.Trace per order, even where the two
-    orders are the same: the reference for the trace both tags share at
-    M <= 1."""
+    """The trace check as a walk over the records of one serganova.Trace per
+    order: the reference that pins the trace scan, which steps lists itself,
+    against Trace.records."""
     mod = Modulus(p)
     total = 0
     failures = []
@@ -647,27 +647,49 @@ def _leaking_steps(lam, theta, indices, p, d=1):
             theta[b] -= d
 
 
+def _reversed_steps(lam, theta, indices, p, d=1):
+    # a move takes its unit from theta_j and gives it to lambda_i
+    _REAL_STEPS(lam, theta, indices, p, -d)
+
+
 TRACE_MUTANTS = {
     "intact": lambda mp: None,
     "inverted-congruence": _inverted_congruence,
     "misdirected-step": lambda mp: mp.setattr(serganova, "_steps", _misdirected_steps),
     "leaking-step": lambda mp: mp.setattr(serganova, "_steps", _leaking_steps),
+    "reversed-step": lambda mp: mp.setattr(serganova, "_steps", _reversed_steps),
+}
+
+# the failure kinds each mutant gives over the inputs of the test below; a
+# lambda chain breaks only with two lambda entries, under the reversed step
+TRACE_MUTANT_KINDS = {
+    "intact": set(),
+    "inverted-congruence": set(),
+    "misdirected-step": {"theta_monotone_v2", "dummy_theta_v1", "dummy_theta_v2",
+                         "congruence_memory_v1", "congruence_memory_v2"},
+    "leaking-step": {"sum_conservation_v1", "sum_conservation_v2",
+                     "congruence_memory_v1", "congruence_memory_v2"},
+    "reversed-step": {"lambda_monotone_v1", "theta_monotone_v2"},
 }
 
 
 @pytest.mark.parametrize("mutant", TRACE_MUTANTS)
 def test_shared_trace_reports_what_two_traces_report(monkeypatch, mutant):
-    # At M = 1 the column and the row order are one order, and the trace
-    # scan checks both tags on the records of one trace: the failures, their
-    # tags and their order are those of one trace per order.  A substitute
-    # only reaches the pure backend; the compiled one runs intact.
-    steps = tuple(tuple(s) for s in serganova.order_v1(1).steps)
-    assert steps == tuple(tuple(s) for s in serganova.order_v2(1).steps)
+    # The trace scan steps lists itself; its failures, their tags and their
+    # order are those of a walk over the records of one trace per order.  At
+    # M = 1 the column and the row order are one order; at M = 2 and 3 they
+    # differ.  A substitute only reaches the pure backend; the compiled one
+    # runs intact.
+    inputs = ((1, 2, 2, -3, 3), (1, 2, 3, -2, 4), (1, 3, 2, -2, 2),
+              (2, 3, 2, -2, 2), (3, 4, 3, -1, 1))
     intact = {}
     for be in _backends():
-        for N, p, lo, hi in ((2, 2, -3, 3), (2, 3, -2, 4), (3, 2, -2, 2)):
+        for M, N, p, lo, hi in inputs:
+            steps_v1 = tuple(tuple(s) for s in serganova.order_v1(M).steps)
+            steps_v2 = tuple(tuple(s) for s in serganova.order_v2(M).steps)
+            assert (steps_v1 == steps_v2) == (M == 1)
             for cap in (1, 3, 10**6):
-                args = (1, N, p, lo, hi, steps, steps, cap)
+                args = (M, N, p, lo, hi, steps_v1, steps_v2, cap)
                 intact[be.name, args] = be.scan_trace(*args)
                 assert intact[be.name, args] == two_trace_walk(*args)
     TRACE_MUTANTS[mutant](monkeypatch)
@@ -679,13 +701,9 @@ def test_shared_trace_reports_what_two_traces_report(monkeypatch, mutant):
             kinds |= {kind for kind, *_ in want[1]}
         else:
             assert kernels.compiled.scan_trace(*args) == result
-    # the step mutants fail under both tags; every kind of failure that can
-    # occur at M = 1 occurs under one of them
-    assert kinds == {
-        "intact": set(),
-        "inverted-congruence": set(),
-        "misdirected-step": {"theta_monotone_v2", "dummy_theta_v1", "dummy_theta_v2",
-                             "congruence_memory_v1", "congruence_memory_v2"},
-        "leaking-step": {"sum_conservation_v1", "sum_conservation_v2",
-                         "congruence_memory_v1", "congruence_memory_v2"},
-    }[mutant]
+    assert kinds == TRACE_MUTANT_KINDS[mutant]
+    # every kind of trace failure occurs under some mutant
+    assert set().union(*TRACE_MUTANT_KINDS.values()) == {
+        "lambda_monotone_v1", "theta_monotone_v2", "sum_conservation_v1", "sum_conservation_v2",
+        "congruence_memory_v1", "congruence_memory_v2", "dummy_theta_v1", "dummy_theta_v2",
+    }
