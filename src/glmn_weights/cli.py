@@ -10,10 +10,10 @@ usage/validation error, 3 capacity/limit error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
+from itertools import chain
 
 from . import oracle, serganova
 from .classify import (
@@ -26,7 +26,7 @@ from .classify import (
 from .core import CapacityError, Modulus, SuperRank, ValidationError, Weight
 from .oracle import Box
 from .roots import BorelWord, excess_pairs, hasse_edges, mixed_word, positive_roots, standard_word
-from .serganova import StepOrder, forward, inverse, order_v1, order_v2
+from .serganova import StepOrder, _walk, forward, inverse, order_v1, order_v2
 
 EXIT_OK = 0
 EXIT_FAILURES = 1
@@ -207,29 +207,28 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     return ns
 
 
-def _write(fmt, objs, fout, csv_columns=None, csv_row=None):
-    """Write output objects as JSONL (default), one JSON array, or CSV with
-    a header row before the first object."""
-    if fmt == "jsonl":
-        for obj in objs:
-            print(json.dumps(obj), file=fout)
-    elif fmt == "json":
-        print(json.dumps(list(objs)), file=fout)
-    else:
-        writer = csv.writer(fout, lineterminator="\n")
-        for n, obj in enumerate(objs):
-            if n == 0:
-                writer.writerow(csv_columns)
-            writer.writerow(csv_row(obj))
+def _write(fmt, texts, fout, csv_columns=()):
+    """Write the text of each output line: one per line for JSONL (default)
+    and CSV, CSV with a header row before the first line, or all of them as
+    one JSON array."""
+    if fmt == "json":
+        fout.write("[" + ", ".join(texts) + "]\n")
+        return
+    write, header = fout.write, ",".join(csv_columns) + "\n" if fmt == "csv" else ""
+    for text in texts:
+        write(header + text + "\n")
+        header = ""
 
 
-def _stream(args, fin, fout, ferr, convert, **csv_spec):
+def _stream(args, fin, fout, ferr, convert, csv_columns=()):
     """The stdin loop of transform, classify and orbit-rep: read one JSON
-    weight per line, write convert(weight) for each valid one, and report
-    each bad line on ferr and keep going.  Exits 1 if any line was bad."""
+    weight per line, write the text convert(weight) gives for each valid
+    one, and report each bad line on ferr and keep going.  A line is bad when
+    its weight is, or when its output holds an integer too long to write.
+    Exits 1 if any line was bad."""
     bad_lines = []
 
-    def outputs():
+    def texts():
         for lineno, line in enumerate(fin, start=1):
             line = line.strip()
             if not line:
@@ -241,13 +240,29 @@ def _stream(args, fin, fout, ferr, convert, **csv_spec):
             except ValueError as exc:  # bad JSON, or an integer too long to read
                 error = f"invalid JSON: {exc}"
             else:
-                yield convert(w)
-                continue
+                try:
+                    yield convert(w)
+                    continue
+                except ValueError as exc:  # an integer too long to write
+                    error = f"output not written: {exc}"
             print(f"line {lineno}: {error}", file=ferr)
             bad_lines.append(lineno)
 
-    _write(args.fmt, outputs(), fout, **csv_spec)
+    _write(args.fmt, texts(), fout, csv_columns)
     return EXIT_FAILURES if bad_lines else EXIT_OK
+
+
+# Output lines are %-formats filled with plain ints and "false"/"true", as
+# json.dumps writes the objects' to_json_dict and csv writes their rows.
+_BOOL = ("false", "true")
+
+
+def _weight_format(rank, fmt="jsonl"):
+    """The format of a weight's CSV row or JSON object, filled by lambda + theta."""
+    if fmt == "csv":
+        return ",".join(["%d"] * rank.total)
+    return '{"lambda": [%s], "theta": [%s]}' % (", ".join(["%d"] * rank.M),
+                                                ", ".join(["%d"] * rank.N))
 
 
 def _weight_columns(rank):
@@ -256,69 +271,55 @@ def _weight_columns(rank):
     ]
 
 
-def _trace_json(records):
-    return [
-        {
-            "k": rec.k,
-            "pair": [rec.pair.i, rec.pair.j],
-            "action": rec.action.value,
-            "sum_before": rec.sum_before,
-            "state_after": rec.state_after.to_json_dict(),
-        }
-        for rec in records
-    ]
-
-
 def _run_transform(args, fin, fout, ferr):
-    fn = forward if args.direction == "forward" else inverse
-    direction = serganova.Direction(args.direction)
+    rank, p, order = args.rank, args.p, args.order
+    fn, d = (forward, 1) if args.direction == "forward" else (inverse, -1)
+    weight = _weight_format(rank)
+    step = ('{"k": %d, "pair": [%d, %d], "action": "%s", "sum_before": %d, "state_after": '
+            + weight + "}")
+    result = weight[:-1] + ', "trace": [%s]}'
 
     def convert(w):
-        if not args.trace:
-            return fn(w, args.p, args.order, args.rank).to_json_dict()
+        w = fn(w, p, order, rank)
+        return weight % (w.lam + w.theta)
+
+    def convert_trace(w):
         # the transform runs once: its result is the state after the last
         # step, or the weight itself when there is no step (M = 0)
-        records = serganova.Trace(direction, args.order, w, args.p).records
-        obj = (records[-1].state_after if records else w).to_json_dict()
-        obj["trace"] = _trace_json(records)
-        return obj
+        lam, theta = list(w.lam), list(w.theta)
+        steps = ", ".join([step % (k, i, j, "move" if moved else "noop", s, *lam, *theta)
+                           for k, (i, j), moved, s in _walk(lam, theta, order, p, d)])
+        return result % (*lam, *theta, steps)
 
-    return _stream(args, fin, fout, ferr, convert)
+    return _stream(args, fin, fout, ferr, convert_trace if args.trace else convert)
 
 
 def _run_classify(args, fin, fout, ferr):
-    rank, p = args.rank, args.p
+    rank, p, convention = args.rank, args.p, args.convention
+    weight = _weight_format(rank, args.fmt)
+    line = weight + ",%s,%s,%s" if args.fmt == "csv" else (
+        '{"weight": ' + weight + ', "standard_dominant": %s, "mixed_highest_weight": %s, '
+        '"relevant": %s}')
 
     def convert(w):
-        return {
-            "weight": w.to_json_dict(),
-            "standard_dominant": is_standard_dominant(w, rank),
-            "mixed_highest_weight": is_mixed_highest_weight(w, rank, p),
-            "relevant": is_relevant_orbit(w, rank, p, args.convention),
-        }
+        return line % (*w.lam, *w.theta, _BOOL[is_standard_dominant(w, rank)],
+                       _BOOL[is_mixed_highest_weight(w, rank, p)],
+                       _BOOL[is_relevant_orbit(w, rank, p, convention)])
 
-    return _stream(
-        args,
-        fin,
-        fout,
-        ferr,
-        convert,
-        csv_columns=_weight_columns(rank)
-        + ["standard_dominant", "mixed_highest_weight", "relevant"],
-        csv_row=lambda obj: list(obj["weight"]["lambda"])
-        + list(obj["weight"]["theta"])
-        + [
-            str(obj["standard_dominant"]).lower(),
-            str(obj["mixed_highest_weight"]).lower(),
-            str(obj["relevant"]).lower(),
-        ],
-    )
+    columns = _weight_columns(rank) + ["standard_dominant", "mixed_highest_weight", "relevant"]
+    return _stream(args, fin, fout, ferr, convert, columns)
 
 
 def _run_orbit_rep(args, fin, fout, ferr):
-    return _stream(
-        args, fin, fout, ferr, lambda w: orbit_representative(w, args.rank).to_json_dict()
-    )
+    rank = args.rank
+    # orbit_representative gives M + N entries, one per row
+    matrix = '{"size": %%d, "entries": [%s]}' % ", ".join(["[%d, %d, %d]"] * rank.total)
+
+    def convert(w):
+        m = orbit_representative(w, rank)
+        return matrix % (m.size, *chain.from_iterable(m.entries))
+
+    return _stream(args, fin, fout, ferr, convert)
 
 
 def _run_roots(args, fin, fout, ferr):
@@ -347,13 +348,8 @@ def _run_enumerate(args, fin, fout, ferr):
         "relevant": (uplus, lambda w: is_relevant_orbit(w, rank, p, args.convention)),
     }[args.filter_name]
     weights = oracle.enumerate_box(rank, args.box, predicate, limit=args.limit, dominant=chains)
-    _write(
-        args.fmt,
-        (w.to_json_dict() for w in weights),
-        fout,
-        csv_columns=_weight_columns(rank),
-        csv_row=lambda obj: list(obj["lambda"]) + list(obj["theta"]),
-    )
+    weight = _weight_format(rank, args.fmt)
+    _write(args.fmt, (weight % (w.lam + w.theta) for w in weights), fout, _weight_columns(rank))
     return EXIT_OK
 
 

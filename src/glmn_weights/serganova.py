@@ -18,10 +18,11 @@ any trailing entries ride along unchanged.
 The transform core (`_steps`) applies the step rule on two int lists
 (lambda and theta) and builds no intermediate weights; it is the one
 definition of a step, which the order check's lattice walk and the trace
-check's scan apply one step at a time.  A caller that reads the steps builds
-`Trace(direction, order, w, p)` itself; the trace stores only those four
-and computes its per-step records on first read, by replaying the same
-core one step at a time.
+check's scan apply one step at a time.  `_walk` takes the steps of one run
+through that core and yields what each step did; `Trace.records` and CLI
+`transform --trace` both read it.  A caller that wants typed steps builds
+`Trace(direction, order, w, p)`, which stores only those four and builds its
+records from the walk on first read.
 
 Linear extensions are the standard tableaux of the staircase shape
 (M, M-1, ..., 1), counted by the hook length formula
@@ -105,7 +106,7 @@ class StepOrder:
 
     @cached_property
     def _walks(self) -> tuple[tuple[tuple, ...], tuple[tuple, ...]]:
-        """The steps a trace replays in turn, forward and inverse (the pairs
+        """The steps `_walk` takes in turn, forward and inverse (the pairs
         in reverse), each as (k, (i, j), i - 1, j - 1, ((i - 1, j - 1),)):
         the last entry is the one-step list of indices for _steps."""
         walk = [(pair, a, b, ((a, b),)) for pair, (a, b) in zip(self.steps, self.indices)]
@@ -129,9 +130,9 @@ class StepRecord:
 class Trace:
     """The run of one transform: its direction, the order used, and the
     weight and modulus it started from.  `records` (one StepRecord per step)
-    is computed on first read by replaying the run, then cached; it raises
-    DimensionMismatch unless the start has M = order_used.M lambda entries
-    and more than M theta entries."""
+    is built on first read from the steps `_walk` takes, then cached; it
+    raises DimensionMismatch unless the start has M = order_used.M lambda
+    entries and more than M theta entries."""
 
     direction: Direction
     order_used: StepOrder
@@ -149,24 +150,10 @@ class Trace:
             raise DimensionMismatch(
                 f"trace start of shape ({len(lam)}|{len(theta)}) does not fit an order for M={M}"
             )
-        is_inverse = self.direction is _INVERSE
-        p, d, step, new = self.p, -1 if is_inverse else 1, _steps, object.__new__
-        lam, theta = list(lam), list(theta)
-        records: list[StepRecord] = []
-        for k, pair, a, b, index in self.order_used._walks[is_inverse]:
-            before = lam[a]
-            s = before + theta[b]
-            step(lam, theta, index, p, d)
-            # built as _valid_weight builds a Weight: the fields are known valid
-            rec = new(StepRecord)
-            fields = rec.__dict__
-            fields["k"] = k
-            fields["pair"] = pair
-            fields["action"] = _NOOP if lam[a] == before else _MOVE
-            fields["sum_before"] = s
-            fields["state_after"] = _valid_weight(tuple(lam), tuple(theta))
-            records.append(rec)
-        return tuple(records)
+        lam, theta, d = list(lam), list(theta), -1 if self.direction is _INVERSE else 1
+        return tuple(StepRecord(k, pair, _MOVE if moved else _NOOP, s,
+                                _valid_weight(tuple(lam), tuple(theta)))
+                     for k, pair, moved, s in _walk(lam, theta, self.order_used, self.p, d))
 
 
 def order_v1(M: int) -> StepOrder:
@@ -297,3 +284,16 @@ def _steps(lam: list[int], theta: list[int], indices, p: Modulus, d: int = 1) ->
         if not congruent_zero(lam[a] + theta[b], p):
             lam[a] -= d
             theta[b] += d
+
+
+def _walk(lam: list[int], theta: list[int], order: StepOrder, p: Modulus, d: int):
+    """Take the steps of `order` on `lam` and `theta` in place, in reverse
+    for the inverse (d = -1), one `_steps` call each.  After each step, while
+    the lists hold the state after it, yield (k, (i, j), moved, sum_before):
+    the step number from 1, the pair, whether a unit moved, and
+    lambda_i + theta_j before the step."""
+    for k, pair, a, b, index in order._walks[d == -1]:
+        before = lam[a]
+        s = before + theta[b]
+        _steps(lam, theta, index, p, d)
+        yield k, pair, lam[a] != before, s

@@ -1,6 +1,8 @@
+import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -12,8 +14,10 @@ from glmn_weights.classify import (
     is_mixed_highest_weight,
     is_relevant_orbit,
     is_standard_dominant,
+    orbit_representative,
 )
-from glmn_weights.core import Modulus, SuperRank, box_weights
+from glmn_weights.core import Modulus, SuperRank, Weight, box_weights, dominant_weights
+from glmn_weights.serganova import Direction, Trace, forward, inverse, order_v1, order_v2
 
 
 def invoke(args, stdin_text=""):
@@ -94,6 +98,111 @@ def test_transform_trace_output_is_unchanged():
         assert invoke([*base, "--direction", direction], '{"lambda":[],"theta":[4]}\n') == (
             0, '{"lambda": [], "theta": [4], "trace": []}\n', ""
         )
+
+
+def _rendered(fmt, objs, columns=None, row=None):
+    """The stream output as json and csv encode it: the rendering the
+    commands' own text must reproduce byte for byte."""
+    if fmt == "json":
+        return json.dumps(objs) + "\n"
+    if fmt == "jsonl":
+        return "".join(json.dumps(obj) + "\n" for obj in objs)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    if objs:
+        writer.writerow(columns)
+    writer.writerows(row(obj) for obj in objs)
+    return out.getvalue()
+
+
+def _trace_object(w, p, order, direction):
+    records = Trace(direction, order, w, p).records
+    obj = (records[-1].state_after if records else w).to_json_dict()
+    obj["trace"] = [
+        {"k": rec.k, "pair": [rec.pair.i, rec.pair.j], "action": rec.action.value,
+         "sum_before": rec.sum_before, "state_after": rec.state_after.to_json_dict()}
+        for rec in records
+    ]
+    return obj
+
+
+def _stream_weights(M, N, rng):
+    """Negative and multi-digit entries, half of them dominant."""
+    weights = []
+    for k in range(24):
+        lam = [rng.randint(-150, 150) for _ in range(M)]
+        theta = [rng.randint(-150, 150) for _ in range(N)]
+        if k % 2:
+            lam.sort(reverse=True)
+            theta.sort(reverse=True)
+        weights.append(Weight(tuple(lam), tuple(theta)))
+    return weights
+
+
+def test_stream_text_matches_the_json_encoding():
+    rng = random.Random(11)
+    for M in range(4):
+        N = M + 1 + M % 2
+        rank, weights = SuperRank(M, N), _stream_weights(M, N, rng)
+        stdin = "".join(json.dumps(w.to_json_dict()) + "\n" for w in weights)
+        base = ["--M", str(M), "--N", str(N)]
+        columns = [f"lambda_{i}" for i in range(1, M + 1)] + [f"theta_{j}" for j in range(1, N + 1)]
+        flags = ["standard_dominant", "mixed_highest_weight", "relevant"]
+        for fmt in ("jsonl", "json"):
+            objs = [orbit_representative(w, rank).to_json_dict() for w in weights]
+            assert invoke(["orbit-rep", *base, "--format", fmt], stdin) == (
+                0, _rendered(fmt, objs), ""), (M, fmt)
+        for p in (0, 2, 3):
+            mod, rp = Modulus(p), [*base, "--p", str(p)]
+            for convention in GroupConvention:
+                objs = [{"weight": w.to_json_dict(),
+                         "standard_dominant": is_standard_dominant(w, rank),
+                         "mixed_highest_weight": is_mixed_highest_weight(w, rank, mod),
+                         "relevant": is_relevant_orbit(w, rank, mod, convention)}
+                        for w in weights]
+                row = lambda obj: (obj["weight"]["lambda"] + obj["weight"]["theta"]
+                                   + [str(obj[key]).lower() for key in flags])
+                for fmt in ("jsonl", "json", "csv"):
+                    argv = ["classify", *rp, "--convention", convention.value, "--format", fmt]
+                    assert invoke(argv, stdin) == (
+                        0, _rendered(fmt, objs, columns + flags, row), ""), (M, p, convention, fmt)
+            for spec, order in (("v1", order_v1(M)), ("v2", order_v2(M))):
+                for direction, fn in ((Direction.FORWARD, forward), (Direction.INVERSE, inverse)):
+                    plain = [fn(w, mod, order, rank).to_json_dict() for w in weights]
+                    traced = [_trace_object(w, mod, order, direction) for w in weights]
+                    argv = ["transform", *rp, "--order", spec, "--direction", direction.value]
+                    for fmt in ("jsonl", "json"):
+                        for trace, objs in (([], plain), (["--trace"], traced)):
+                            assert invoke([*argv, *trace, "--format", fmt], stdin) == (
+                                0, _rendered(fmt, objs), ""), (M, p, spec, direction, fmt, trace)
+        for fmt in ("jsonl", "json", "csv"):
+            for name, walk in (("all", box_weights), ("dominant", dominant_weights)):
+                objs = [w.to_json_dict() for w in walk(M, N, -11, -9)]
+                argv = ["enumerate", *base, "--box", "-11:-9", "--filter", name, "--format", fmt]
+                assert invoke(argv) == (0, _rendered(
+                    fmt, objs, columns, lambda obj: obj["lambda"] + obj["theta"]), ""), (M, name)
+
+
+@pytest.mark.parametrize("argv, line", [
+    # theta_1 = 10^4300 after the forward step, one digit past the limit
+    (["transform"], '{"lambda": [0], "theta": [%s, 0]}'),
+    (["transform", "--trace"], '{"lambda": [0], "theta": [%s, 0]}'),
+    # lambda_1 = 10^4300 after the inverse step
+    (["transform", "--direction", "inverse"], '{"lambda": [%s], "theta": [0, 0]}'),
+    (["transform", "--direction", "inverse", "--trace"], '{"lambda": [%s], "theta": [0, 0]}'),
+    # the diagonal entry -(lambda_1 + theta_1) has 4301 digits
+    (["orbit-rep"], '{"lambda": [%s], "theta": [%s, 0]}'),
+], ids=("forward", "forward-trace", "inverse", "inverse-trace", "orbit-rep"))
+def test_output_integer_too_long_to_write_is_a_bad_line(argv, line):
+    nines = "9" * 4300
+    bad = line % ((nines,) * line.count("%s"))
+    good = '{"lambda": [1], "theta": [0, 0]}'
+    argv = [*argv, "--M", "1", "--N", "2"] + ["--p", "2"] * (argv[0] == "transform")
+    code, out, err = invoke(argv, f"{good}\n{bad}\n{good}\n")
+    assert code == 1
+    assert err.startswith("line 2: output not written: Exceeds the limit")
+    assert err.count("\n") == 1
+    assert out.splitlines() == [invoke(argv, good)[1].strip()] * 2
 
 
 def test_transform_roundtrip_reproduces_input():

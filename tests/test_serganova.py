@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, permutations
 
 import pytest
@@ -417,6 +418,29 @@ def test_trace_records_match_an_independent_replay():
                     assert [hash(rec) for rec in tr.records] == [hash(rec) for rec in built]
                     assert all(type(rec) is StepRecord for rec in tr.records)
                     assert tr.records is tr.records
+
+
+def test_trace_records_are_the_steps_of_the_walk():
+    # every linear extension for M <= 3, both directions: the records are
+    # what serganova._walk yields, and the walk ends at the transform's result
+    rng = random.Random(3)
+    for M in range(4):
+        r = SuperRank(M, M + 2)
+        entries = lambda n: [rng.randint(-4, 4) for _ in range(n)]
+        weights = [W(entries(M), entries(M + 2)) for _ in range(40)]
+        for p in (0, 2, 3):
+            mod = Modulus(p)
+            for order in all_linear_extensions(M):
+                for fn, direction, d in ((forward, Direction.FORWARD, 1),
+                                         (inverse, Direction.INVERSE, -1)):
+                    for w in weights:
+                        lam, theta = list(w.lam), list(w.theta)
+                        steps = serganova._walk(lam, theta, order, mod, d)
+                        walked = [StepRecord(k, pair, Action.MOVE if moved else Action.NOOP, s,
+                                             W(lam, theta))
+                                  for k, pair, moved, s in steps]
+                        assert Trace(direction, order, w, mod).records == tuple(walked)
+                        assert W(lam, theta) == fn(w, mod, order, r)
 
 
 def test_trace_read_later_keeps_its_own_input():
