@@ -5,13 +5,13 @@ Mirrors the compiled extension's scan_* API and failure payloads exactly.
 Every scan walks dominant chains only (core.dominant_weights): the image,
 order and trace scans the dominant weights of the box, the theorem scan
 those and the dominant weights of a box widened upward in lambda, which
-hold every dominant preimage of a box weight.  Every per-weight operation
-is routed through the public modules (looked up at call time), so the
-harness exercises the same code the library exposes and the test suite can
-substitute deliberately broken variants.  The order and trace scans step
-int lists with serganova._steps, the transform core, one step at a time:
-the order scan along each edge of the ideal lattice, the trace scan along
-each of the two orders on its own copy of the weight.
+hold every dominant preimage of a box weight.  Each scan looks up what it
+runs in the library's modules once per scan, so the harness runs the code
+the library exposes and the tests can substitute broken variants.  The
+image, order and trace scans step int lists with serganova._steps, the
+transform core: through a whole order, one step per lattice edge, and one
+step at a time.  The theorem scan and the order scan's top comparison call
+serganova.forward and inverse.
 """
 
 from __future__ import annotations
@@ -33,34 +33,39 @@ name = "pure"
 
 def scan_image(M, N, p, lo, hi, steps, failure_cap):
     """One pass over the dominant weights of the box checking both
-    directions of the set equality: dominant weights land in the mixed set
-    and round-trip back; mixed weights (all of them dominant) pull back to
-    dominant ones and round-trip forward."""
-    rank = SuperRank(M, N)
+    directions of the set equality, as the compiled scan does.  Each weight
+    is stepped as int lists: forward, it must be mixed, and back, itself.
+    If it meets the vanishing condition it is mixed (it is dominant): back,
+    it must be dominant, and forward again, itself."""
+    SuperRank(M, N)  # refuses a rank with M >= N, as the other scans do
     mod = Modulus(p)
-    order = StepOrder(M, steps)
+    ahead = StepOrder(M, steps).indices
+    # bound once per scan: substitutes installed before it still apply
+    step, mixed, vanishing = serganova._steps, classify._mixed, classify._vanishing_on_equalities
     total = 0
     failures = []
 
-    def note(kind, w, *extra):
+    def note(kind, w):
         if len(failures) < failure_cap:
-            failures.append((kind, w.lam, w.theta) + extra)
+            failures.append((kind, w.lam, w.theta))
 
     for w in dominant_weights(M, N, lo, hi):
         total += 1
-        m = serganova.forward(w, mod, order, rank)
-        if not classify.is_mixed_highest_weight(m, rank, mod):
+        lam, theta = list(w.lam), list(w.theta)
+        step(lam, theta, ahead, mod)
+        if not mixed(lam, theta, M, mod):
             note("forward_not_in_mixed", w)
-        back = serganova.inverse(m, mod, order, rank)
-        if back != w:
+        step(lam, theta, reversed(ahead), mod, -1)
+        if tuple(lam) != w.lam or tuple(theta) != w.theta:
             note("inverse_forward_roundtrip", w)
-        if classify.is_mixed_highest_weight(w, rank, mod):
+        if vanishing(w.lam, w.theta, M, mod):
             total += 1
-            a = serganova.inverse(w, mod, order, rank)
-            if not classify.is_standard_dominant(a, rank):
+            lam, theta = list(w.lam), list(w.theta)
+            step(lam, theta, reversed(ahead), mod, -1)
+            if not (_non_increasing(lam) and _non_increasing(theta)):
                 note("inverse_not_in_dominant", w)
-            m2 = serganova.forward(a, mod, order, rank)
-            if m2 != w:
+            step(lam, theta, ahead, mod)
+            if tuple(lam) != w.lam or tuple(theta) != w.theta:
                 note("forward_inverse_roundtrip", w)
     return total, failures
 

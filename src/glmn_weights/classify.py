@@ -67,13 +67,17 @@ def _vanishing_on_equalities(lam, theta, M: int, p: Modulus) -> bool:
     return True
 
 
+def _mixed(lam, theta, M: int, p: Modulus) -> bool:
+    # the mixed condition on lambda and theta as sequences
+    return (_non_increasing(lam) and _non_increasing(theta)
+            and _vanishing_on_equalities(lam, theta, M, p))
+
+
 def is_mixed_highest_weight(w: Weight, rank: SuperRank, p: Modulus) -> bool:
     """Highest weight for the mixed Borel: dominant chains plus the
     vanishing condition on adjacent equal entries."""
     w.require_rank(rank)
-    lam, theta = w.lam, w.theta
-    return (_non_increasing(lam) and _non_increasing(theta)
-            and _vanishing_on_equalities(lam, theta, rank.M, p))
+    return _mixed(w.lam, w.theta, rank.M, p)
 
 
 def is_relevant_orbit(

@@ -2,9 +2,9 @@
 
 Subcommands: transform, classify, orbit-rep, roots, enumerate, verify.
 Weights travel as {"lambda": [...], "theta": [...]} JSON objects, one per
-line.  Exit codes: 0 success, 1 verification failure, bad input lines, or
-output cut short because the reader closed the pipe (`... | head`), 2
-usage/validation error, 3 capacity/limit error.
+line.  Exit codes: 0 success, 1 verification failure, bad input lines,
+output cut short because the reader closed the pipe (`... | head`) or an
+internal consistency error, 2 usage/validation error, 3 capacity/limit error.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from .classify import (
     is_standard_dominant,
     orbit_representative,
 )
-from .core import CapacityError, Modulus, SuperRank, ValidationError, Weight
+from .core import (CapacityError, InternalConsistencyError, Modulus, SuperRank, ValidationError,
+                   Weight)
 from .oracle import Box
 from .roots import BorelWord, excess_pairs, hasse_edges, mixed_word, positive_roots, standard_word
 from .serganova import StepOrder, _walk, forward, inverse, order_v1, order_v2
@@ -414,6 +415,9 @@ def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
         # fail again (the recipe in the Python documentation on SIGPIPE).
         if stdout is None:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAILURES
+    except InternalConsistencyError as exc:
+        print(f"error: {exc}", file=ferr)
         return EXIT_FAILURES
     except (ValidationError, OverflowError) as exc:
         print(f"error: {exc}", file=ferr)

@@ -570,6 +570,32 @@ def test_verify_exits_1_when_a_check_fails(monkeypatch):
     assert json.loads(out)["passed"] is False
 
 
+def test_verify_exits_1_when_the_theorem_scan_finds_the_library_inconsistent(monkeypatch):
+    # forward lowers lambda_1 by two more than its steps, and inverse undoes
+    # that: dominant preimages lie beyond the theorem scan's widened walk,
+    # and the scan raises InternalConsistencyError, which is reported
+    from glmn_weights import serganova
+
+    real_forward, real_inverse = serganova.forward, serganova.inverse
+
+    def shifted_forward(w, p, order, rank):
+        out = real_forward(w, p, order, rank)
+        return Weight((out.lam[0] - 2,) + out.lam[1:], out.theta)
+
+    def shifted_inverse(w, p, order, rank):
+        return real_inverse(Weight((w.lam[0] + 2,) + w.lam[1:], w.theta), p, order, rank)
+
+    monkeypatch.setenv("GLMN_WEIGHTS_PURE", "1")
+    monkeypatch.setattr(serganova, "forward", shifted_forward)
+    monkeypatch.setattr(serganova, "inverse", shifted_inverse)
+    code, out, err = invoke(
+        ["verify", "--M", "1", "--N", "2", "--p", "2", "--box", "-1:1", "--check", "theorem"]
+    )
+    assert (code, out) == (cli.EXIT_FAILURES, "")
+    assert err.startswith("error: theorem scan:") and "outside the walk" in err
+    assert "Traceback" not in err
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "glmn_weights", "verify", "--M", "1", "--N", "2",

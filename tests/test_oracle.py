@@ -707,3 +707,101 @@ def test_shared_trace_reports_what_two_traces_report(monkeypatch, mutant):
         "lambda_monotone_v1", "theta_monotone_v2", "sum_conservation_v1", "sum_conservation_v2",
         "congruence_memory_v1", "congruence_memory_v2", "dummy_theta_v1", "dummy_theta_v2",
     }
+
+
+def weight_level_image(M, N, p, lo, hi, steps, failure_cap):
+    """The image check as a walk of weight-level calls, serganova.forward
+    and inverse and the classify predicates: the reference that pins the
+    image scan, which steps lists itself, against the public functions."""
+    rank, mod = SuperRank(M, N), Modulus(p)
+    order = serganova.StepOrder(M, steps)
+    total = 0
+    failures = []
+
+    def note(kind, w):
+        if len(failures) < failure_cap:
+            failures.append((kind, w.lam, w.theta))
+
+    for w in dominant_weights(M, N, lo, hi):
+        total += 1
+        m = serganova.forward(w, mod, order, rank)
+        if not classify.is_mixed_highest_weight(m, rank, mod):
+            note("forward_not_in_mixed", w)
+        if serganova.inverse(m, mod, order, rank) != w:
+            note("inverse_forward_roundtrip", w)
+        if classify.is_mixed_highest_weight(w, rank, mod):
+            total += 1
+            a = serganova.inverse(w, mod, order, rank)
+            if not classify.is_standard_dominant(a, rank):
+                note("inverse_not_in_dominant", w)
+            if serganova.forward(a, mod, order, rank) != w:
+                note("forward_inverse_roundtrip", w)
+    return total, failures
+
+
+# the image failure kinds each mutant of TRACE_MUTANTS gives over the inputs
+# of the test below
+IMAGE_MUTANT_KINDS = {
+    "intact": set(),
+    "inverted-congruence": {"forward_not_in_mixed", "inverse_not_in_dominant"},
+    "misdirected-step": {"forward_not_in_mixed", "inverse_forward_roundtrip",
+                         "forward_inverse_roundtrip"},
+    "leaking-step": {"forward_not_in_mixed", "inverse_forward_roundtrip",
+                     "forward_inverse_roundtrip"},
+    "reversed-step": {"forward_not_in_mixed", "inverse_not_in_dominant"},
+}
+
+
+@pytest.mark.parametrize("mutant", TRACE_MUTANTS)
+def test_image_scan_reports_what_weight_level_calls_report(monkeypatch, mutant):
+    # The image scan steps lists itself; its total, its failures and their
+    # order are those of the weight-level walk, intact and under each
+    # mutant, at every cap.  A substitute only reaches the pure backend; the
+    # compiled one runs intact.
+    inputs = ((0, 1, -3, 3), (1, 2, -3, 3), (1, 3, -2, 2), (2, 3, -2, 2), (3, 4, -1, 1))
+    intact = {}
+    for be in _backends():
+        for M, N, lo, hi in inputs:
+            steps = tuple(tuple(s) for s in serganova.order_v1(M).steps)
+            for p in (0, 2, 3):
+                for cap in (1, 3, 10**6):
+                    args = (M, N, p, lo, hi, steps, cap)
+                    intact[be.name, args] = be.scan_image(*args)
+                    assert intact[be.name, args] == weight_level_image(*args)
+    TRACE_MUTANTS[mutant](monkeypatch)
+    kinds = set()
+    for (name, args), result in intact.items():
+        if name == "pure":
+            got, want = kernels.pure.scan_image(*args), weight_level_image(*args)
+            assert got == want, args
+            kinds |= {kind for kind, *_ in want[1]}
+        else:
+            assert kernels.compiled.scan_image(*args) == result
+    assert kinds == IMAGE_MUTANT_KINDS[mutant]
+    # every kind of image failure occurs under some mutant
+    assert set().union(*IMAGE_MUTANT_KINDS.values()) == {
+        "forward_not_in_mixed", "inverse_forward_roundtrip",
+        "inverse_not_in_dominant", "forward_inverse_roundtrip",
+    }
+
+
+def _vanishing_from_theta_2(lam, theta, M, p):
+    # theta-equality checks start at i = 2 instead of i = 1
+    for i in range(1, M):
+        if theta[i] == theta[i + 1] and not congruent_zero(theta[i] + lam[i], p):
+            return False
+    for i in range(1, M):
+        if lam[i - 1] == lam[i] and not congruent_zero(theta[i] + lam[i], p):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("M,N", ((1, 2), (2, 3), (3, 4)))
+def test_mutation_shifted_vanishing_breaks_image(monkeypatch, M, N):
+    # the image scan reads the mixed condition from classify when it starts,
+    # on the walked weights and on their images alike
+    rank, mod, box = SuperRank(M, N), Modulus(2), Box(-1, 1)
+    assert verify_image(rank, mod, box, backend=_pure()).passed
+    monkeypatch.setattr(classify, "_vanishing_on_equalities", _vanishing_from_theta_2)
+    report = verify_image(rank, mod, box, backend=_pure())
+    assert {f["kind"] for f in report.failures} == {"inverse_not_in_dominant"}
