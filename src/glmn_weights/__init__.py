@@ -22,12 +22,9 @@ from .core import (
     InternalConsistencyError,
     Modulus,
     SuperRank,
-    ThetaSplit,
     ValidationError,
     Weight,
     congruent_zero,
-    join_theta,
-    split_theta,
 )
 from .kernels import active_backend, compiled_available
 from .oracle import (
@@ -81,7 +78,6 @@ __all__ = [
     "StepOrder",
     "StepRecord",
     "SuperRank",
-    "ThetaSplit",
     "Trace",
     "ValidationError",
     "VerificationReport",
@@ -98,14 +94,12 @@ __all__ = [
     "is_mixed_highest_weight",
     "is_relevant_orbit",
     "is_standard_dominant",
-    "join_theta",
     "mixed_word",
     "orbit_representative",
     "order_v1",
     "order_v2",
     "pair_leq",
     "positive_roots",
-    "split_theta",
     "standard_word",
     "verify_image",
     "verify_order_invariance",

@@ -212,10 +212,9 @@ check_box(Py_ssize_t M, Py_ssize_t N, long lo, long hi)
 
 /* Read the excess pairs (i, j), 1 <= j <= i <= M, of steps into buffer
    positions: lambda_i at i - 1, theta_j at M + j - 1.  Return the number of
-   steps, or -1 with an exception set (ValueError too_many past max). */
+   steps, or -1 with an exception set (ValueError TOO_MANY_STEPS past max). */
 static Py_ssize_t
-load_steps(PyObject *steps, Py_ssize_t M, int *si, int *sj, Py_ssize_t max,
-           const char *too_many)
+load_steps(PyObject *steps, Py_ssize_t M, int *si, int *sj, Py_ssize_t max)
 {
     PyObject *it, *pair, *v;
     Py_ssize_t k = 0;
@@ -225,7 +224,7 @@ load_steps(PyObject *steps, Py_ssize_t M, int *si, int *sj, Py_ssize_t max,
         return -1;
     while ((pair = PyIter_Next(it)) != NULL) {
         if (k == max)
-            PyErr_SetString(PyExc_ValueError, too_many);
+            PyErr_SetString(PyExc_ValueError, TOO_MANY_STEPS);
         else if (PySequence_Size(pair) != 2 && !PyErr_Occurred())
             PyErr_SetString(PyExc_ValueError, "steps must be (i, j) pairs");
         for (int e = 0; e < 2 && !PyErr_Occurred(); e++) {
@@ -301,7 +300,7 @@ scan_image(PyObject *self, PyObject *args)
 
     if (!PyArg_ParseTuple(args, "nnlllOn:scan_image", &M, &N, &p, &lo, &hi, &steps, &cap)
         || check_box(M, N, lo, hi) < 0
-        || (ns = load_steps(steps, M, si, sj, MAXSTEPS, TOO_MANY_STEPS)) < 0)
+        || (ns = load_steps(steps, M, si, sj, MAXSTEPS)) < 0)
         return NULL;
     if ((failures = PyList_New(0)) == NULL)
         return NULL;
@@ -384,7 +383,7 @@ scan_theorem(PyObject *self, PyObject *args)
 
     if (!PyArg_ParseTuple(args, "nnlllOn:scan_theorem", &M, &N, &p, &lo, &hi, &steps, &cap)
         || check_box(M, N, lo, hi) < 0
-        || (ns = load_steps(steps, M, si, sj, MAXSTEPS, TOO_MANY_STEPS)) < 0)
+        || (ns = load_steps(steps, M, si, sj, MAXSTEPS)) < 0)
         return NULL;
     if ((failures = PyList_New(0)) == NULL)
         return NULL;
@@ -493,7 +492,7 @@ load_ideals(PyObject *seq, Py_ssize_t M, int **edge)
                          "edge (%ld, %ld) does not follow the ideals before it", ideal, below);
             rc = -1;
         }
-        else if (load_steps(one, M, si, sj, 1, TOO_MANY_STEPS) < 0)
+        else if (load_steps(one, M, si, sj, 1) < 0)
             rc = -1;
         Py_DECREF(one);
         if (rc < 0)
@@ -534,7 +533,7 @@ scan_order(PyObject *self, PyObject *args)
     if (!PyArg_ParseTuple(args, "nnlllOOn:scan_order", &M, &N, &p, &lo, &hi, &steps, &ideals,
                           &cap)
         || check_box(M, N, lo, hi) < 0
-        || (ns = load_steps(steps, M, si, sj, MAXSTEPS, TOO_MANY_STEPS)) < 0)
+        || (ns = load_steps(steps, M, si, sj, MAXSTEPS)) < 0)
         return NULL;
     if ((seq = PySequence_Fast(ideals, "the lattice table must be a sequence of edges")) == NULL)
         return NULL;
@@ -600,7 +599,7 @@ scan_trace(PyObject *self, PyObject *args)
         || check_box(M, N, lo, hi) < 0)
         return NULL;
     for (int tag = 0; tag < 2; tag++)
-        if ((ns[tag] = load_steps(steps[tag], M, si[tag], sj[tag], MAXSTEPS, TOO_MANY_STEPS)) < 0)
+        if ((ns[tag] = load_steps(steps[tag], M, si[tag], sj[tag], MAXSTEPS)) < 0)
             return NULL;
     if ((failures = PyList_New(0)) == NULL)
         return NULL;

@@ -107,13 +107,6 @@ class OrbitMatrix:
     size: int
     entries: tuple[tuple[int, int, int], ...]
 
-    def exponent(self, row: int, col: int) -> int | None:
-        """Exponent at a structural cell, or None if the cell is zero."""
-        for r, c, e in self.entries:
-            if (r, c) == (row, col):
-                return e
-        return None
-
     def to_json_dict(self) -> dict:
         return {"size": self.size, "entries": [list(e) for e in self.entries]}
 

@@ -197,11 +197,6 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
         ns.convention = GroupConvention(ns.convention)
     if "check" in ns:
         ns.checks = oracle.CHECK_NAMES if ns.check == "all" else (ns.check,)
-        if ns.p is not None and ns.p.p == 0 and "theorem" in ns.checks:
-            errors.append(
-                "the theorem check requires a prime modulus; "
-                "select --check image/order/trace for p=0"
-            )
 
     if errors:
         raise ValidationError("; ".join(errors))

@@ -198,24 +198,3 @@ def congruent_zero(a: int, p: Modulus) -> bool:
     if p.p == 0:
         return a == 0
     return a % p.p == 0
-
-
-@dataclass(frozen=True)
-class ThetaSplit:
-    """theta cut after position M+1: the head (theta_1..theta_{M+1}) and the
-    tail (theta'_1..theta'_{N-M-1}) of trailing entries."""
-
-    head: tuple[int, ...]
-    tail: tuple[int, ...]
-
-
-def split_theta(w: Weight, rank: SuperRank) -> ThetaSplit:
-    """Split theta into its first M+1 entries and the remaining N-M-1."""
-    w.require_rank(rank)
-    cut = rank.M + 1
-    return ThetaSplit(w.theta[:cut], w.theta[cut:])
-
-
-def join_theta(s: ThetaSplit) -> tuple[int, ...]:
-    """Undo split_theta: concatenate head and tail."""
-    return s.head + s.tail

@@ -265,10 +265,7 @@ def verify_theorem(
 ) -> VerificationReport:
     """Check, inside the box, that the orbit-relevance predicate
     (non-increasing convention) picks out the image of the dominant set,
-    walking dominant chains on both sides (see the module docstring).
-    Requires a prime modulus."""
-    if p.p == 0:
-        raise ValidationError("the theorem check requires a prime modulus, got p=0")
+    walking dominant chains on both sides (see the module docstring)."""
     return _scan("theorem", rank, p, box, limit, failure_cap, backend, order_v1(rank.M).steps)
 
 

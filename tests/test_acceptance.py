@@ -83,7 +83,7 @@ def test_criterion_3_order_extension_invariance():
 def test_criterion_4_main_theorem_set_equality():
     ok = True
     for M, N in ((1, 2), (2, 3)):
-        for p in (2, 3, 5):
+        for p in (0, 2, 3, 5):
             r = verify_theorem(SuperRank(M, N), Modulus(p), Box(-2, 2))
             ok = ok and r.passed
     report("4 main theorem set equality", ok)
@@ -130,13 +130,15 @@ def test_criterion_7_generic_vs_modular_consistency():
 def test_criterion_8_harness_falsifiability(monkeypatch):
     rank = SuperRank(2, 3)
     box = Box(-1, 1)
-    mod = Modulus(2)
-    pure = kernels.pure
+
+    def run(verify):
+        # every mutant must fail at a prime and in the exact regime
+        return [verify(rank, Modulus(p), box, backend=kernels.pure) for p in (2, 0)]
 
     real = congruent_zero
     monkeypatch.setattr(serganova, "congruent_zero", lambda a, p: not real(a, p))
-    inverted = verify_image(rank, mod, box, backend=pure)
-    inverted_theorem = verify_theorem(rank, mod, box, backend=pure)
+    inverted = run(verify_image)
+    inverted_theorem = run(verify_theorem)
     monkeypatch.undo()
 
     def shifted_b_range(w, rk, p, convention):
@@ -156,7 +158,7 @@ def test_criterion_8_harness_falsifiability(monkeypatch):
         return True
 
     monkeypatch.setattr(classify, "is_relevant_orbit", shifted_b_range)
-    shifted = verify_theorem(rank, mod, box, backend=pure)
+    shifted = run(verify_theorem)
     monkeypatch.undo()
 
     def swapped_inequality(w, rk, p, convention):
@@ -170,7 +172,7 @@ def test_criterion_8_harness_falsifiability(monkeypatch):
         return classify._vanishing_on_equalities(w.lam, w.theta, rk.M, p)
 
     monkeypatch.setattr(classify, "is_relevant_orbit", swapped_inequality)
-    swapped = verify_theorem(rank, mod, box, backend=pure)
+    swapped = run(verify_theorem)
     monkeypatch.undo()
 
     # no chain condition: the theorem check sees non-dominant weights only
@@ -179,14 +181,9 @@ def test_criterion_8_harness_falsifiability(monkeypatch):
         return classify._vanishing_on_equalities(w.lam, w.theta, rk.M, p)
 
     monkeypatch.setattr(classify, "is_relevant_orbit", chain_dropped)
-    dropped = verify_theorem(rank, mod, box, backend=pure)
+    dropped = run(verify_theorem)
     monkeypatch.undo()
 
-    ok = (
-        len(inverted.failures) > 0
-        and len(inverted_theorem.failures) > 0
-        and len(shifted.failures) > 0
-        and len(swapped.failures) > 0
-        and len(dropped.failures) > 0
-    )
+    reports = inverted + inverted_theorem + shifted + swapped + dropped
+    ok = all(len(r.failures) > 0 for r in reports)
     report("8 harness falsifiability", ok)

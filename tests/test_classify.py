@@ -127,13 +127,13 @@ def test_orbit_representative_pattern_shape():
     m = orbit_representative(w, r)
     assert m.size == 5
     assert len(m.entries) == r.M + (r.M + 1) + (r.N - r.M - 1)
-    cells = {(row, col) for row, col, _ in m.entries}
-    assert cells == {(1, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 4), (5, 5)}
-    assert m.exponent(1, 1) == -(3 + 4)
-    assert m.exponent(3, 1) == -4
-    assert m.exponent(3, 3) == -0
-    assert m.exponent(4, 4) == 1
-    assert m.exponent(1, 2) is None
+    exponent = {(row, col): e for row, col, e in m.entries}
+    assert set(exponent) == {(1, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 4), (5, 5)}
+    assert exponent[1, 1] == -(3 + 4)
+    assert exponent[3, 1] == -4
+    assert exponent[3, 3] == -0
+    assert exponent[4, 4] == 1
+    assert (1, 2) not in exponent
 
 
 def test_orbit_representative_entries_are_row_major():

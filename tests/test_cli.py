@@ -459,16 +459,15 @@ def test_verify_negative_box_with_space():
     assert code == 0, err
 
 
-def test_verify_p0_image_allowed_theorem_rejected():
-    code, _, _ = invoke(
-        ["verify", "--M", "1", "--N", "2", "--p", "0", "--box", "-1:1", "--check", "image"]
-    )
-    assert code == 0
-    code, _, err = invoke(
-        ["verify", "--M", "1", "--N", "2", "--p", "0", "--box", "-1:1", "--check", "all"]
-    )
-    assert code == 2
-    assert "prime" in err
+def test_verify_all_checks_pass_in_the_exact_regime():
+    for M, N, box in (("1", "2", "-1:1"), ("3", "4", "-2:2")):
+        code, out, err = invoke(
+            ["verify", "--M", M, "--N", N, "--p", "0", "--box", box, "--check", "all"]
+        )
+        assert (code, err) == (0, "")
+        reports = [json.loads(line) for line in out.splitlines()]
+        assert [r["check_name"] for r in reports] == ["image", "order", "theorem", "trace"]
+        assert all(r["passed"] and r["params"]["p"] == 0 for r in reports)
 
 
 def test_validation_errors_exit_2():

@@ -8,14 +8,11 @@ from hypothesis import strategies as st
 from glmn_weights.core import (
     Modulus,
     SuperRank,
-    ThetaSplit,
     ValidationError,
     Weight,
     box_weights,
     congruent_zero,
     dominant_weights,
-    join_theta,
-    split_theta,
 )
 
 
@@ -82,23 +79,6 @@ def test_weight_shape_checks():
         pass
 
     assert Weight((Int(3),), (0,)).lam == (3,)
-
-
-def test_split_theta_examples():
-    assert split_theta(Weight((1,), (2, 0)), SuperRank(1, 2)) == ThetaSplit((2, 0), ())
-    assert split_theta(Weight((1,), (2, 0, -1)), SuperRank(1, 3)) == ThetaSplit((2, 0), (-1,))
-    assert split_theta(Weight((), (5,)), SuperRank(0, 1)) == ThetaSplit((5,), ())
-
-
-def test_split_join_roundtrip():
-    for M, N in ((0, 1), (1, 2), (2, 3), (2, 5), (3, 7)):
-        r = SuperRank(M, N)
-        theta = tuple(range(-N, 0))
-        w = Weight(tuple(range(M)), theta)
-        s = split_theta(w, r)
-        assert len(s.head) == M + 1
-        assert len(s.tail) == N - M - 1
-        assert join_theta(s) == theta
 
 
 def test_weight_json_roundtrip():

@@ -58,10 +58,9 @@ def test_scan_parity():
         assert kernels.compiled.scan_trace(*args, s1, s2, 20) == kernels.pure.scan_trace(
             *args, s1, s2, 20
         )
-        if p != 0:
-            assert kernels.compiled.scan_theorem(*args, s1, 20) == kernels.pure.scan_theorem(
-                *args, s1, 20
-            )
+        assert kernels.compiled.scan_theorem(*args, s1, 20) == kernels.pure.scan_theorem(
+            *args, s1, 20
+        )
 
 
 @needs_compiled
@@ -240,7 +239,7 @@ def test_dominant_preimages_lie_in_the_widened_box(M, N):
     widest = 0
     for steps in step_lists:
         c = sum(1 for s in steps if s == (1, 1))
-        for p in (2, 3, 5):
+        for p in (0, 2, 3, 5):
             for lo, hi in ((-1, 1), (-2, 1)):
                 for co in product(range(lo, hi + 1), repeat=M + N):
                     lam, theta = replay(co[:M], co[M:], p, steps, inverse=True)
@@ -252,7 +251,7 @@ def test_dominant_preimages_lie_in_the_widened_box(M, N):
 
 
 @needs_compiled
-@pytest.mark.parametrize("p", (2, 3))
+@pytest.mark.parametrize("p", (0, 2, 3))
 def test_compiled_theorem_walk_widens_by_the_11_steps(p):
     # step lists with no (1, 1) step, with one, and with three: the widened
     # walk, and so the total and the failures, follow their count

@@ -198,15 +198,51 @@ def test_verify_theorem_passes():
     # total: the dominant weights of the box, and those of the box widened
     # by one (the one (1, 1) step) in lambda
     for M, N in ((1, 2), (2, 3)):
-        for p in (2, 5):
+        for p in (0, 2, 5):
             report = verify_theorem(SuperRank(M, N), Modulus(p), Box(-2, 2))
             assert report.passed
             assert report.total == (comb(5 + M - 1, M) + comb(6 + M - 1, M)) * comb(5 + N - 1, N)
 
 
-def test_verify_theorem_rejects_exact_modulus():
-    with pytest.raises(ValidationError):
-        verify_theorem(SuperRank(1, 2), Modulus(0), Box(-1, 1))
+def test_verify_theorem_passes_in_the_exact_regime():
+    # p = 0, the generic side of the statement
+    for M, N, lo, hi, total in ((1, 2, -3, 3, 420), (2, 3, -2, 2, 1260),
+                                (3, 4, -2, 2, 6370), (2, 4, -3, 3, 13440)):
+        report = verify_theorem(SuperRank(M, N), Modulus(0), Box(lo, hi))
+        assert report.passed and report.total == total
+
+
+def relevant_and_image(M, N, p, lo, hi):
+    """The relevant dominant weights of the box, and the image: the forward
+    results of the widened dominant walk that land in the box and pull back."""
+    rank, mod, order = SuperRank(M, N), Modulus(p), serganova.order_v1(M)
+    relevant = {
+        w for w in dominant_weights(M, N, lo, hi)
+        if classify.is_relevant_orbit(w, rank, mod, GroupConvention.UPLUS)
+    }
+    image = set()
+    for d in dominant_weights(M, N, lo, hi, hi + 1):
+        w = serganova.forward(d, mod, order, rank)
+        in_box = all(lo <= v <= hi for v in w.lam + w.theta)
+        if in_box and serganova.inverse(w, mod, order, rank) == d:
+            image.add(w)
+    return relevant, image
+
+
+@pytest.mark.parametrize("M,N,lo,hi", ((2, 3, -3, 3), (1, 2, -4, 2), (3, 4, -2, 2)))
+def test_the_sets_at_p_specialise_to_the_exact_regime(M, N, lo, hi):
+    # The limit p -> infinity: the p = 0 sets lie inside those at p, and
+    # equal them once p > 2 max(|lo|, |hi|), past which no diagonal sum
+    # lambda_i + theta_i of a box weight vanishes mod p without being 0;
+    # below that bound they differ on these boxes.
+    exact, exact_image = relevant_and_image(M, N, 0, lo, hi)
+    assert exact == exact_image
+    bound = 2 * max(abs(lo), abs(hi))
+    for p in (2, 3, 5, 7, 11, 13):
+        relevant, image = relevant_and_image(M, N, p, lo, hi)
+        assert relevant == image
+        assert exact <= relevant
+        assert (relevant == exact) == (p > bound), p
 
 
 def test_verify_trace_invariants_passes():
@@ -417,7 +453,7 @@ def test_theorem_chain_walks_agree_with_the_full_box(monkeypatch, mutant, M, N):
     # walks name is one of its counterexamples.
     THEOREM_MUTANTS[mutant](monkeypatch)
     steps = serganova.order_v1(M).steps
-    for lo, hi, p in ((-1, 1, 2), (-1, 1, 3), (-2, 2, 3)):
+    for lo, hi, p in ((-1, 1, 2), (-1, 1, 3), (-2, 2, 3), (-1, 1, 0), (-2, 2, 0)):
         _, want = full_box_theorem(M, N, p, lo, hi, steps, 10**9)
         _, got = kernels.pure.scan_theorem(M, N, p, lo, hi, steps, 10**9)
         assert bool(got) == bool(want) == (mutant != "intact"), (lo, hi, p)
