@@ -197,6 +197,9 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
         ns.convention = GroupConvention(ns.convention)
     if "check" in ns:
         ns.checks = oracle.CHECK_NAMES if ns.check == "all" else (ns.check,)
+    if "cap" in ns:
+        validated(serganova._require_cap, ns.cap)
+        validated(oracle._require_cap, ns.failure_cap)
 
     if errors:
         raise ValidationError("; ".join(errors))

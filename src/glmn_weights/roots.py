@@ -108,14 +108,7 @@ def all_pairs(M: int) -> tuple[PairIndex, ...]:
 
 
 def hasse_edges(M: int) -> tuple[tuple[PairIndex, PairIndex], ...]:
-    """Covering relations of pair_leq on the excess pairs for a given M."""
-    pairs = all_pairs(M)
-    edges = []
-    for x in pairs:
-        for y in pairs:
-            if x == y or not pair_leq(x, y):
-                continue
-            if any(z != x and z != y and pair_leq(x, z) and pair_leq(z, y) for z in pairs):
-                continue
-            edges.append((x, y))
-    return tuple(sorted(edges))
+    """Covering relations (x, y) of pair_leq on the excess pairs, sorted: each
+    x = (i, j) with j < i is covered by (i - 1, j) and (i, j + 1), and only by them."""
+    return tuple((x, y) for x in all_pairs(M) if x.j < x.i
+                 for y in (PairIndex(x.i - 1, x.j), PairIndex(x.i, x.j + 1)))

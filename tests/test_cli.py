@@ -477,10 +477,16 @@ def test_validation_errors_exit_2():
         ["verify", "--M", "2", "--N", "3", "--p", "2", "--box", "2:-2"],
         ["verify", "--M", "2", "--N", "3", "--p", "2", "--box", "nope"],
         ["transform", "--M", "1", "--N", "2", "--p", "2", "--order", "v9"],
+        # refused before any check runs, whichever checks would read the cap
+        ["verify", "--M", "1", "--N", "2", "--p", "2", "--box", "-1:1", "--cap", "-5"],
+        ["verify", "--M", "1", "--N", "2", "--p", "2", "--box", "-1:1", "--cap", "0",
+         "--check", "image"],
+        ["verify", "--M", "1", "--N", "2", "--p", "2", "--box", "-1:1", "--failure-cap", "0"],
     ):
-        code, _, err = invoke(args)
+        code, out, err = invoke(args)
         assert code == 2, args
         assert err
+        assert out == "", args
 
 
 def test_validation_errors_are_reported_together():
@@ -489,6 +495,10 @@ def test_validation_errors_are_reported_together():
     )
     assert code == 2
     assert "M < N" in err and "prime" in err and "LO:HI" in err
+    code, out, err = invoke(["verify", "--M", "1", "--N", "2", "--p", "2", "--box", "-1:1",
+                             "--cap", "0", "--failure-cap", "0"])
+    assert code == 2 and out == ""
+    assert "cap must be positive" in err and "failure cap must be at least 1" in err
 
 
 def test_usage_errors_exit_2():

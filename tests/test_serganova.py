@@ -189,6 +189,14 @@ def test_ideal_lattice_against_brute_force(M):
     for I, J, x in ideals:
         if (I, J, x) == next(e for e in ideals if e[0] == I):
             assert x == max(sets[I], key=v1.index)
+    # the maximal chains of the down-sets, grown one pair at a time from the
+    # empty set, are the linear extensions, in the same (sorted) order
+    closed, chains = set(down_sets), [()]
+    for _ in all_pairs(M):
+        chains = [c + (x,) for c in chains for x in all_pairs(M)
+                  if x not in c and frozenset(c) | {x} in closed]
+    assert len(chains) == (1, 1, 2, 16, 768)[M]
+    assert chains == [o.steps for o in all_linear_extensions(M)]
 
 
 def test_ideal_lattice_counts_and_cap():
