@@ -1,20 +1,22 @@
 """Pure-Python scan kernels: the fallback backend for the exhaustive
 verification loops.
 
-Mirrors the compiled extension's scan_* API and failure payloads exactly.
-Every scan walks dominant chains only (core.dominant_weights): the image,
-order and trace scans the dominant weights of the box, the theorem scan
-those and the dominant weights of a box widened upward in lambda, which
-hold every dominant preimage of a box weight.  Each scan looks up what it
-runs in the library's modules once per scan, so the harness runs the code
-the library exposes and the tests can substitute broken variants.  The
-image, order and trace scans step int lists with serganova._steps, the
-transform core: through a whole order, one step per lattice edge, and one
-step at a time.  The theorem scan and the order scan's top comparison call
-serganova.forward and inverse.
+Mirrors the compiled extension's scan_* API, step lists (_load_steps) and
+failure payloads exactly.  Every scan walks dominant chains only, as tuple
+pairs (core._dominant_pairs): the image, order and trace scans the dominant
+weights of the box, the theorem scan those and the dominant weights of a
+box widened upward in lambda, which hold every dominant preimage of a box
+weight.  Each scan looks up what it runs in the library's modules once per
+scan, so the harness runs the code the library exposes and the tests can
+substitute broken variants.  Every scan steps int lists with
+serganova._steps, the transform core: through a whole order, reversed for
+the inverse, one step per lattice edge, or one step at a time.  A Weight is
+built only for the predicates that take one.
 """
 
 from __future__ import annotations
+
+from operator import index
 
 from . import classify, serganova
 from .classify import GroupConvention, _non_increasing
@@ -22,13 +24,25 @@ from .core import (
     InternalConsistencyError,
     Modulus,
     SuperRank,
+    _dominant_pairs,
     _valid_weight,
     congruent_zero,
-    dominant_weights,
 )
-from .serganova import StepOrder
 
 name = "pure"
+
+
+def _load_steps(M, steps):
+    """The indices (i - 1, j - 1) of lambda_i and theta_j for each pair of
+    `steps`, any iterable, in the order given, as C load_steps reads them.
+    Raises ValueError unless each is a pair with 1 <= j <= i <= M."""
+    ahead = []
+    for pair in steps:
+        i, j = map(index, pair)  # ValueError unless a pair
+        if not 1 <= j <= i <= M:
+            raise ValueError(f"step ({i}, {j}) is not an excess pair for M={M}")
+        ahead.append((i - 1, j - 1))
+    return ahead
 
 
 def scan_image(M, N, p, lo, hi, steps, failure_cap):
@@ -39,34 +53,34 @@ def scan_image(M, N, p, lo, hi, steps, failure_cap):
     it must be dominant, and forward again, itself."""
     SuperRank(M, N)  # refuses a rank with M >= N, as the other scans do
     mod = Modulus(p)
-    ahead = StepOrder(M, steps).indices
+    ahead = _load_steps(M, steps)
     # bound once per scan: substitutes installed before it still apply
     step, mixed, vanishing = serganova._steps, classify._mixed, classify._vanishing_on_equalities
     total = 0
     failures = []
 
-    def note(kind, w):
+    def note(kind, lam, theta):
         if len(failures) < failure_cap:
-            failures.append((kind, w.lam, w.theta))
+            failures.append((kind, lam, theta))
 
-    for w in dominant_weights(M, N, lo, hi):
+    for lam0, theta0 in _dominant_pairs(M, N, lo, hi):
         total += 1
-        lam, theta = list(w.lam), list(w.theta)
+        lam, theta = list(lam0), list(theta0)
         step(lam, theta, ahead, mod)
         if not mixed(lam, theta, M, mod):
-            note("forward_not_in_mixed", w)
+            note("forward_not_in_mixed", lam0, theta0)
         step(lam, theta, reversed(ahead), mod, -1)
-        if tuple(lam) != w.lam or tuple(theta) != w.theta:
-            note("inverse_forward_roundtrip", w)
-        if vanishing(w.lam, w.theta, M, mod):
+        if tuple(lam) != lam0 or tuple(theta) != theta0:
+            note("inverse_forward_roundtrip", lam0, theta0)
+        if vanishing(lam0, theta0, M, mod):
             total += 1
-            lam, theta = list(w.lam), list(w.theta)
+            lam, theta = list(lam0), list(theta0)
             step(lam, theta, reversed(ahead), mod, -1)
             if not (_non_increasing(lam) and _non_increasing(theta)):
-                note("inverse_not_in_dominant", w)
+                note("inverse_not_in_dominant", lam0, theta0)
             step(lam, theta, ahead, mod)
-            if tuple(lam) != w.lam or tuple(theta) != w.theta:
-                note("forward_inverse_roundtrip", w)
+            if tuple(lam) != lam0 or tuple(theta) != theta0:
+                note("forward_inverse_roundtrip", lam0, theta0)
     return total, failures
 
 
@@ -80,48 +94,54 @@ def scan_theorem(M, N, p, lo, hi, steps, failure_cap):
     InternalConsistencyError."""
     rank = SuperRank(M, N)
     mod = Modulus(p)
-    order = StepOrder(M, steps)
-    c = sum(1 for s in order.steps if s == (1, 1))
+    ahead = _load_steps(M, steps)
+    back = ahead[::-1]
+    c = ahead.count((0, 0))  # the (1, 1) steps
     # bound once per scan: substitutes installed before it still apply
     relevant, dominant = classify.is_relevant_orbit, classify.is_standard_dominant
-    forward, inverse = serganova.forward, serganova.inverse
+    step = serganova._steps
     uplus = GroupConvention.UPLUS
     total = hits = accepted = 0
     failures = []
 
     def note(w, pred, alg):
         if len(failures) < failure_cap:
-            failures.append(("theorem_mismatch", w.lam, w.theta, pred, alg))
+            failures.append(("theorem_mismatch", *w, pred, alg))
 
-    def member(w):
-        a = inverse(w, mod, order, rank)
-        return dominant(a, rank) and forward(a, mod, order, rank) == w
+    def run(w, indices, d=1):  # (lambda, theta) stepped through indices, as tuples
+        lam, theta = list(w[0]), list(w[1])
+        step(lam, theta, indices, mod, d)
+        return tuple(lam), tuple(theta)
 
-    for d in dominant_weights(M, N, lo, hi, hi + c):
+    def member(w):  # the inverse is dominant and maps forward onto w again
+        a = run(w, back, -1)
+        return dominant(_valid_weight(*a), rank) and run(a, ahead) == w
+
+    for d in _dominant_pairs(M, N, lo, hi, hi + c):
         total += 1
-        w = forward(d, mod, order, rank)
-        coords = w.lam + w.theta
+        w = run(d, ahead)
+        coords = w[0] + w[1]
         if min(coords) < lo or max(coords) > hi:
             continue
-        pulls = inverse(w, mod, order, rank) == d
-        if relevant(w, rank, mod, uplus):
-            if pulls and dominant(w, rank):
+        pulls = run(w, back, -1) == d
+        weight = _valid_weight(*w)
+        if relevant(weight, rank, mod, uplus):
+            if pulls and dominant(weight, rank):
                 hits += 1
         elif pulls or member(w):
             note(w, False, True)
 
-    for w in dominant_weights(M, N, lo, hi):
+    for w in _dominant_pairs(M, N, lo, hi):
         total += 1
-        if relevant(w, rank, mod, uplus):
+        if relevant(_valid_weight(*w), rank, mod, uplus):
             accepted += 1
-        for lam, theta in _neighbours(w.lam, w.theta):
-            n = _valid_weight(lam, theta)
-            if relevant(n, rank, mod, uplus) and not member(n):
+        for n in _neighbours(*w):
+            if relevant(_valid_weight(*n), rank, mod, uplus) and not member(n):
                 note(n, True, False)
 
     if hits != accepted or failures:
-        for w in dominant_weights(M, N, lo, hi):
-            if relevant(w, rank, mod, uplus) and not member(w):
+        for w in _dominant_pairs(M, N, lo, hi):
+            if relevant(_valid_weight(*w), rank, mod, uplus) and not member(w):
                 note(w, True, False)
         if not failures:
             raise InternalConsistencyError(
@@ -147,55 +167,53 @@ def scan_order(M, N, p, lo, hi, steps, ideals, failure_cap):
     dominant weight of the box.  The state of ideal 0 is the weight; the
     first edge (I, J, x) of an ideal I sets its state to that of J stepped
     at x, and every further edge of I must give the same state.  The state
-    of the last ideal must equal the result of forward under `steps`.
+    of the last ideal must equal the weight stepped through `steps`.
     Comparison k is edge k, or the top comparison for k = len(ideals); a
     failure names the weight and k.  `total` counts the comparisons."""
-    rank = SuperRank(M, N)
+    SuperRank(M, N)  # refuses a rank with M >= N, as the other scans do
     mod = Modulus(p)
-    order = StepOrder(M, steps)
+    ahead = _load_steps(M, steps)
     edges = _load_ideals(M, ideals)
     top = edges[-1][0] if edges else 0
     # bound once per scan: substitutes installed before it still apply
-    step, forward = serganova._steps, serganova.forward
+    step = serganova._steps
     total = 0
     failures = []
 
-    def note(w, k):
+    def note(lam, theta, k):
         if len(failures) < failure_cap:
-            failures.append(("order_mismatch", w.lam, w.theta, k))
+            failures.append(("order_mismatch", lam, theta, k))
 
-    for w in dominant_weights(M, N, lo, hi):
+    for lam0, theta0 in _dominant_pairs(M, N, lo, hi):
         # the state of ideal I is (lams[I], thetas[I])
-        lams, thetas = [list(w.lam)] * (top + 1), [list(w.theta)] * (top + 1)
-        for k, (ideal, below, index, first) in enumerate(edges):
+        lams, thetas = [list(lam0)] * (top + 1), [list(theta0)] * (top + 1)
+        for k, (ideal, below, one, first) in enumerate(edges):
             lam, theta = lams[below].copy(), thetas[below].copy()
-            step(lam, theta, index, mod)
+            step(lam, theta, one, mod)
             if first:
                 lams[ideal], thetas[ideal] = lam, theta
             elif lam != lams[ideal] or theta != thetas[ideal]:
-                note(w, k)
-        result = forward(w, mod, order, rank)
-        if list(result.lam) != lams[top] or list(result.theta) != thetas[top]:
-            note(w, len(edges))
+                note(lam0, theta0, k)
+        lam, theta = list(lam0), list(theta0)
+        step(lam, theta, ahead, mod)
+        if lam != lams[top] or theta != thetas[top]:
+            note(lam0, theta0, len(edges))
         total += len(edges) + 1
     return total, failures
 
 
 def _load_ideals(M, ideals):
-    """The edges of a lattice table as (I, J, ((i - 1, j - 1),), first):
-    the ideals, the indices of lambda_i and theta_j as a one-step list for
-    serganova._steps, and whether the edge is the first of I.  Raises
-    ValueError unless each edge has 0 <= J < I and I equal to the ideal of
-    the edge before (0 before the first) or one past it, so that every
-    state is set before it is read, and unless its pair is an excess pair
-    for M."""
+    """The edges of a lattice table as (I, J, [(i - 1, j - 1)], first): the
+    ideals, the pair as a one-step list for serganova._steps (_load_steps),
+    and whether the edge is the first of I.  Raises ValueError unless each
+    edge has 0 <= J < I and I equal to the ideal of the edge before (0
+    before the first) or one past it, so that every state is set before it
+    is read, and unless its pair is an excess pair for M."""
     edges, last = [], 0
-    for ideal, below, (i, j) in ideals:
+    for ideal, below, pair in ideals:
         if not (0 <= below < ideal and last <= ideal <= last + 1):
             raise ValueError(f"edge ({ideal}, {below}) does not follow the ideals before it")
-        if not 1 <= j <= i <= M:
-            raise ValueError(f"step ({i}, {j}) is not an excess pair for M={M}")
-        edges.append((ideal, below, ((i - 1, j - 1),), ideal != last))
+        edges.append((ideal, below, _load_steps(M, (pair,)), ideal != last))
         last = ideal
     return edges
 
@@ -210,31 +228,31 @@ def scan_trace(M, N, p, lo, hi, steps_v1, steps_v2, failure_cap):
     time, and the invariants are read from the lists after each step."""
     SuperRank(M, N)  # refuses a rank with M >= N, as the other scans do
     mod = Modulus(p)
-    orders = (("v1", StepOrder(M, steps_v1), "lambda"), ("v2", StepOrder(M, steps_v2), "theta"))
+    orders = ("v1", _load_steps(M, steps_v1), "lambda"), ("v2", _load_steps(M, steps_v2), "theta")
     # bound once per scan: substitutes installed before it still apply
     step = serganova._steps
     total = 0
     failures = []
 
-    def note(kind, w, k):
+    def note(kind, lam, theta, k):
         if len(failures) < failure_cap:
-            failures.append((kind, w.lam, w.theta, k))
+            failures.append((kind, lam, theta, k))
 
-    for w in dominant_weights(M, N, lo, hi):
+    for lam0, theta0 in _dominant_pairs(M, N, lo, hi):
         total += 1
-        base = sum(w.lam) + sum(w.theta)
-        dummies = list(w.theta[M + 1 :])
-        for tag, order, chain in orders:
-            lam, theta = list(w.lam), list(w.theta)
-            for k, (a, b) in enumerate(order.indices, 1):
+        base = sum(lam0) + sum(theta0)
+        dummies = list(theta0[M + 1 :])
+        for tag, ahead, chain in orders:
+            lam, theta = list(lam0), list(theta0)
+            for k, (a, b) in enumerate(ahead, 1):
                 before = lam[a] + theta[b]
                 step(lam, theta, ((a, b),), mod)
                 if not _non_increasing(lam if tag == "v1" else theta[: M + 1]):
-                    note(f"{chain}_monotone_{tag}", w, k)
+                    note(f"{chain}_monotone_{tag}", lam0, theta0, k)
                 if sum(lam) + sum(theta) != base:
-                    note(f"sum_conservation_{tag}", w, k)
+                    note(f"sum_conservation_{tag}", lam0, theta0, k)
                 if not congruent_zero(lam[a] + theta[b] - before, mod):
-                    note(f"congruence_memory_{tag}", w, k)
+                    note(f"congruence_memory_{tag}", lam0, theta0, k)
                 if theta[M + 1 :] != dummies:
-                    note(f"dummy_theta_{tag}", w, k)
+                    note(f"dummy_theta_{tag}", lam0, theta0, k)
     return total, failures

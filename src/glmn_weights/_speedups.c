@@ -16,9 +16,9 @@
  *
  * The kernels compute in C long on at most MAXN coordinates.  Every scan
  * refuses, with OverflowError and before it visits a weight, a rank with
- * more than MAXN coordinates, a modulus or box bound outside C long and any
- * box whose coordinates, moved by the transform and summed over a weight,
- * could leave it; glmn_weights.oracle then runs the pure backend instead.
+ * more than MAXN coordinates or MAXSTEPS steps, a modulus or box bound outside
+ * C long and any box whose coordinates, moved by the transform and summed
+ * over a weight, could leave it; glmn_weights.oracle then runs pure instead.
  *
  * Build: python setup.py build_ext --inplace (a C compiler is all it needs).
  */
@@ -212,7 +212,8 @@ check_box(Py_ssize_t M, Py_ssize_t N, long lo, long hi)
 
 /* Read the excess pairs (i, j), 1 <= j <= i <= M, of steps into buffer
    positions: lambda_i at i - 1, theta_j at M + j - 1.  Return the number of
-   steps, or -1 with an exception set (ValueError TOO_MANY_STEPS past max). */
+   steps, or -1 with an exception set (OverflowError TOO_MANY_STEPS past max:
+   the pure backend has no such bound). */
 static Py_ssize_t
 load_steps(PyObject *steps, Py_ssize_t M, int *si, int *sj, Py_ssize_t max)
 {
@@ -224,7 +225,7 @@ load_steps(PyObject *steps, Py_ssize_t M, int *si, int *sj, Py_ssize_t max)
         return -1;
     while ((pair = PyIter_Next(it)) != NULL) {
         if (k == max)
-            PyErr_SetString(PyExc_ValueError, TOO_MANY_STEPS);
+            PyErr_SetString(PyExc_OverflowError, TOO_MANY_STEPS);
         else if (PySequence_Size(pair) != 2 && !PyErr_Occurred())
             PyErr_SetString(PyExc_ValueError, "steps must be (i, j) pairs");
         for (int e = 0; e < 2 && !PyErr_Occurred(); e++) {

@@ -10,7 +10,7 @@ non-root-of-unity regime), a prime p >= 2 means vanishing mod p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, starmap
 
 
 class ValidationError(ValueError):
@@ -146,26 +146,35 @@ def box_weights(M: int, N: int, lo: int, hi: int):
 def dominant_weights(M: int, N: int, lo: int, hi: int, lam_hi: int | None = None):
     """Yield the weights of box_weights(M, N, lo, hi) whose lambda and theta
     are both non-increasing, in the same lexicographic order.  With lam_hi,
-    the lambda entries range over [lo, lam_hi] instead of [lo, hi].
+    the lambda entries range over [lo, lam_hi] instead of [lo, hi].  Built
+    from the pairs of _dominant_pairs, whose ints need no check."""
+    return starmap(_valid_weight, _dominant_pairs(M, N, lo, hi, lam_hi))
 
-    An odometer over the coordinates: each is bounded above by the one
-    before it in its chain (by lam_hi or hi at the head of a chain), and
-    stepping one resets every later one to lo.  No other weight is visited
-    and nothing is held beyond the coordinates of the current weight."""
-    top = hi if lam_hi is None else lam_hi
-    n = M + N
-    if (n and lo > hi) or (M and lo > top):
+
+def _dominant_pairs(M: int, N: int, lo: int, hi: int, lam_hi: int | None = None):
+    """The (lambda, theta) tuple pairs of dominant_weights, in its order: no
+    other pair is visited and nothing is held beyond the current chains."""
+    for lam in _chains(M, lo, hi if lam_hi is None else lam_hi):
+        for theta in _chains(N, lo, hi):
+            yield lam, theta
+
+
+def _chains(k: int, lo: int, hi: int):
+    """Yield the non-increasing k-tuples over [lo, hi] lexicographically, by an
+    odometer: each entry is bounded by the one before it (by hi at the head),
+    and stepping one resets every later one to lo."""
+    if k and lo > hi:
         return
-    coords = [lo] * n
+    c = [lo] * k
     while True:
-        yield Weight(tuple(coords[:M]), tuple(coords[M:]))
-        k = n - 1
-        while k >= 0:
-            if coords[k] < (hi if k == M else top if k == 0 else coords[k - 1]):
-                coords[k] += 1
+        yield tuple(c)
+        i = k - 1
+        while i >= 0:
+            if c[i] < (c[i - 1] if i else hi):
+                c[i] += 1
                 break
-            coords[k] = lo
-            k -= 1
+            c[i] = lo
+            i -= 1
         else:
             return
 

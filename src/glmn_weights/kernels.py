@@ -6,8 +6,8 @@ backend (useful for debugging and for benchmarking).
 
 The compiled scans compute in C long on at most 64 coordinates and enforce
 those bounds themselves: each raises OverflowError, before it visits a
-weight, on a rank with more coordinates, or a modulus or box that C long
-cannot hold through the transform.  The pure scans take any integers.
+weight, on a rank with more coordinates or more than 2080 steps, or a modulus
+or box that C long cannot hold.  The pure scans have none of these bounds.
 """
 
 from __future__ import annotations

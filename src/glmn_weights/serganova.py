@@ -77,13 +77,14 @@ class StepOrder:
             steps = tuple(PairIndex(i, j) for (i, j) in self.steps)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"steps must be (i, j) pairs: {exc}") from exc
+        plain = tuple(map(tuple, steps))  # for messages: ((1, 1),), not PairIndex reprs
         if not all(_is_int(v) for pair in steps for v in pair):
-            raise ValidationError(f"steps must be (i, j) pairs of integers, got {self.steps!r}")
+            raise ValidationError(f"steps must be (i, j) pairs of integers, got {plain!r}")
         object.__setattr__(self, "steps", steps)
         expected = set(all_pairs(self.M))
         if set(steps) != expected or len(steps) != len(expected):
             raise ValidationError(
-                f"steps must visit each excess pair for M={self.M} exactly once, got {steps}"
+                f"steps must visit each excess pair for M={self.M} exactly once, got {plain}"
             )
         for a in range(len(steps)):
             for b in range(a + 1, len(steps)):

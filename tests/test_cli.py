@@ -244,6 +244,13 @@ def test_transform_rejects_invalid_order_file(tmp_path):
     )
     assert code == 2
     assert "linear extension" in err
+    # a pair twice: the message prints plain pairs, not PairIndex reprs
+    path.write_text(json.dumps([[1, 1], [1, 1]]))
+    code, _, err = invoke(
+        ["transform", "--M", "1", "--N", "2", "--p", "2", "--order", f"file:{path}"]
+    )
+    assert (code, err.strip()) == (2, "error: steps must visit each excess pair for M=1 "
+                                      "exactly once, got ((1, 1), (1, 1))")
     # entries that are not pairs, or pairs that do not hold integers
     for data in ([1, [1, 1]], [[1, 1, 1]], [[1.9, 1]], [[True, 1]], [["1", 1]]):
         path.write_text(json.dumps(data))
@@ -585,18 +592,20 @@ def test_verify_exits_1_when_the_theorem_scan_finds_the_library_inconsistent(mon
     # and the scan raises InternalConsistencyError, which is reported
     from glmn_weights import serganova
 
-    real_forward, real_inverse = serganova.forward, serganova.inverse
+    real_steps, whole = serganova._steps, serganova.order_v1(1).indices
 
-    def shifted_forward(w, p, order, rank):
-        out = real_forward(w, p, order, rank)
-        return Weight((out.lam[0] - 2,) + out.lam[1:], out.theta)
-
-    def shifted_inverse(w, p, order, rank):
-        return real_inverse(Weight((w.lam[0] + 2,) + w.lam[1:], w.theta), p, order, rank)
+    def shifted_steps(lam, theta, indices, p, d=1):
+        # only the runs through the whole order, forward or reversed, shift
+        indices = tuple(indices)
+        shift = indices == (whole if d == 1 else whole[::-1])
+        if shift and d == -1:
+            lam[0] += 2
+        real_steps(lam, theta, indices, p, d)
+        if shift and d == 1:
+            lam[0] -= 2
 
     monkeypatch.setenv("GLMN_WEIGHTS_PURE", "1")
-    monkeypatch.setattr(serganova, "forward", shifted_forward)
-    monkeypatch.setattr(serganova, "inverse", shifted_inverse)
+    monkeypatch.setattr(serganova, "_steps", shifted_steps)
     code, out, err = invoke(
         ["verify", "--M", "1", "--N", "2", "--p", "2", "--box", "-1:1", "--check", "theorem"]
     )

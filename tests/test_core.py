@@ -10,6 +10,8 @@ from glmn_weights.core import (
     SuperRank,
     ValidationError,
     Weight,
+    _chains,
+    _dominant_pairs,
     box_weights,
     congruent_zero,
     dominant_weights,
@@ -141,6 +143,33 @@ def test_dominant_weights_of_an_empty_range(M, N):
     # an empty lambda range: no weight, unless there is no lambda
     want = list(box_weights(M, N, 0, 0)) if M == 0 else []
     assert list(dominant_weights(M, N, 0, 0, -1)) == want
+
+
+def _product_filter(M, N, lo, hi, lam_hi):
+    return [
+        (lam, theta)
+        for lam in product(range(lo, lam_hi + 1), repeat=M)
+        for theta in product(range(lo, hi + 1), repeat=N)
+        if _non_increasing(lam) and _non_increasing(theta)
+    ]
+
+
+@pytest.mark.parametrize("M", (0, 1, 2, 3))
+@pytest.mark.parametrize("lo,hi", ((-1, 1), (0, 0), (2, 1)))
+def test_the_chain_walk_against_a_product_filter(M, lo, hi):
+    # each chain, and the pairs of chains with lambda_hi below lo, equal to
+    # hi and hi + 3: the same tuples in the same lexicographic order as a
+    # brute-force filter, including the empty ranges (lo > hi, lam_hi < lo)
+    for k in range(M + 3):
+        assert list(_chains(k, lo, hi)) == [
+            c for c in product(range(lo, hi + 1), repeat=k) if _non_increasing(c)
+        ]
+    for N in (M + 1, M + 2):
+        for lam_hi in (lo - 1, hi, hi + 3):
+            want = _product_filter(M, N, lo, hi, lam_hi)
+            assert list(_dominant_pairs(M, N, lo, hi, lam_hi)) == want
+            assert [(w.lam, w.theta) for w in dominant_weights(M, N, lo, hi, lam_hi)] == want
+        assert list(_dominant_pairs(M, N, lo, hi)) == _product_filter(M, N, lo, hi, hi)
 
 
 @pytest.mark.parametrize("lo,hi", ((0, 0), (0, 1)))

@@ -13,8 +13,7 @@ import pytest
 from glmn_weights import kernels
 from glmn_weights.classify import GroupConvention, is_relevant_orbit
 from glmn_weights.core import Modulus, SuperRank, Weight
-from glmn_weights.roots import PairIndex
-from glmn_weights.serganova import StepOrder, ideal_lattice, order_v1, order_v2
+from glmn_weights.serganova import ideal_lattice, order_v1, order_v2
 
 needs_compiled = pytest.mark.skipif(
     not kernels.compiled_available(), reason="compiled backend not built"
@@ -338,25 +337,15 @@ def test_compiled_failure_reports():
     assert all(1 <= f[3] <= len(rv1) for f in trace_fails)
 
 
-def unchecked_order(M, steps):
-    """A StepOrder built without checking that steps is a linear extension,
-    so that the pure scans run any step list, as the compiled ones do."""
-    order = object.__new__(StepOrder)
-    object.__setattr__(order, "M", M)
-    object.__setattr__(order, "steps", tuple(PairIndex(i, j) for i, j in steps))
-    return order
-
-
 @needs_compiled
 @pytest.mark.parametrize("M,N,p,lo,hi", ((3, 4, 2, -2, 2), (2, 5, 2, -1, 2)))
-def test_backends_walk_the_same_weights(monkeypatch, M, N, p, lo, hi):
+def test_backends_walk_the_same_weights(M, N, p, lo, hi):
     # The compiled odometers and core.dominant_weights must visit the same
     # weights in the same order: the canonical steps and lattice table,
     # then reversed steps and a malformed table (which fail on many
     # weights), at several caps.  The pure scans keep the first `cap`
     # failures (see test_oracle), so one uncapped pure run is the reference
     # for every cap.
-    monkeypatch.setattr(kernels.pure, "StepOrder", unchecked_order)
     uncapped = (hi - lo + 1) ** (M + N) * (len(ideal_lattice(M)) + 1)
     failing = set()
     for reverse in (False, True):
@@ -368,6 +357,87 @@ def test_backends_walk_the_same_weights(monkeypatch, M, N, p, lo, hi):
             if fails:
                 failing.add(scan)
     assert len(failing) == 4  # reversed steps make every scan report failures
+
+
+def backends():
+    return [kernels.pure] + ([kernels.compiled] if kernels.compiled_available() else [])
+
+
+@pytest.mark.parametrize("p", (0, 2, 3))
+def test_pure_scans_run_any_step_list(p):
+    # The pure scans load a step list as the compiled ones do: any excess
+    # pairs, run in the order given, repeats allowed.  Lists with no (1, 1)
+    # step, reversed, with repeated (1, 1) steps and with repeated pairs,
+    # against the replay walks.
+    v1 = steps_of(order_v1(2))
+    ideals = ideal_lattice(2)
+    for steps in (v1[1:], v1[::-1], ((1, 1),) * 2 + v1, ((2, 1), (2, 2)) * 2):
+        args = (2, 3, p, -1, 1, steps)
+        assert kernels.pure.scan_theorem(*args, 1000) == chain_walk_theorem(*args)
+        assert kernels.pure.scan_order(*args, ideals, 1000) == lattice_walk(*args, ideals)
+
+
+def test_backends_take_a_step_list_that_is_not_an_extension():
+    # a reversed column order, passed as an iterator, and three (1, 1) steps
+    # ahead of it: every backend runs them and gives the same reports
+    v1 = steps_of(order_v1(2))
+    images, theorems = set(), set()
+    for be in backends():
+        total, fails = be.scan_image(2, 3, 2, -1, 1, reversed(v1), 3)
+        assert total == 91 and len(fails) == 3
+        images.add((total, tuple(fails)))
+        total, fails = be.scan_theorem(2, 3, 2, -1, 1, ((1, 1),) * 3 + v1, 1000)
+        theorems.add((total, tuple(fails)))
+    assert len(images) == len(theorems) == 1
+    total, fails = chain_walk_theorem(2, 3, 2, -1, 1, ((1, 1),) * 3 + v1)
+    assert theorems == {(total, tuple(fails))}
+
+
+@pytest.mark.parametrize(
+    "steps",
+    (
+        ((1, 2),),  # not an excess pair
+        ((3, 1),),  # a pair beyond M
+        ((0, 0),),  # indices from 1
+        ((1,),),  # half a pair
+        ((1, 1, 1),),  # more than a pair
+    ),
+)
+def test_scans_refuse_a_step_that_is_not_an_excess_pair(steps):
+    # both backends refuse the same step lists, before visiting a weight
+    steps = steps_of(order_v1(2)) + steps
+    for be in backends():
+        for call in (
+            lambda: be.scan_image(2, 3, 2, -1, 1, steps, 20),
+            lambda: be.scan_theorem(2, 3, 2, -1, 1, steps, 20),
+            lambda: be.scan_order(2, 3, 2, -1, 1, steps, ideal_lattice(2), 20),
+            lambda: be.scan_trace(2, 3, 2, -1, 1, steps, steps_of(order_v2(2)), 20),
+        ):
+            with pytest.raises(ValueError):
+                call()
+
+
+@needs_compiled
+def test_compiled_refuses_more_steps_than_it_holds():
+    # the compiled scans hold 2080 steps, as many as a linear extension has
+    # at M = 63; past that they refuse with OverflowError, which oracle
+    # answers by running the pure backend, and the pure scans run any count
+    for n in (2080, 2081):
+        steps = ((2, 1),) * n
+        box = (2, 3, 3, 0, 1)
+        calls = (
+            ("scan_image", (*box, steps, 5)),
+            ("scan_theorem", (*box, steps, 5)),
+            ("scan_order", (*box, steps, ideal_lattice(2), 5)),
+            ("scan_trace", (*box, steps, steps, 5)),
+        )
+        for scan, args in calls:
+            if n == 2080:
+                assert getattr(kernels.compiled, scan)(*args) == getattr(kernels.pure, scan)(*args)
+            else:
+                with pytest.raises(OverflowError):
+                    getattr(kernels.compiled, scan)(*args)
+                getattr(kernels.pure, scan)(*args)
 
 
 @pytest.mark.parametrize(

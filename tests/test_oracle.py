@@ -460,6 +460,24 @@ def test_theorem_chain_walks_agree_with_the_full_box(monkeypatch, mutant, M, N):
         assert set(got) <= set(want)
 
 
+def whole_order_steps(M, run):
+    """A serganova._steps substitute: each call that runs the whole column
+    order at M, forward (d = 1) or reversed (d = -1), as forward, inverse
+    and the scans' transforms do, becomes run(lam, theta, d, real), where
+    real(lam, theta) takes those steps on the lists in place.  Other calls,
+    such as the lattice walk's one-step lists, run intact."""
+    ahead, steps = serganova.order_v1(M).indices, serganova._steps
+
+    def substitute(lam, theta, indices, p, d=1):
+        indices = tuple(indices)
+        if indices == (ahead if d == 1 else ahead[::-1]):
+            run(lam, theta, d, lambda lam, theta: steps(lam, theta, indices, p, d))
+        else:
+            steps(lam, theta, indices, p, d)
+
+    return substitute
+
+
 def test_theorem_hits_must_pull_back(monkeypatch):
     # forward sends a second dominant weight onto the image of the first:
     # counted twice, that image would stand in for the one it hides, so the
@@ -474,11 +492,14 @@ def test_theorem_hits_must_pull_back(monkeypatch):
     ]
     (d1, _), (d2, w2) = hits[:2]
 
-    def forward(w, p, order, rank):
-        return real(d1 if w == d2 else w, p, order, rank)
+    def run(lam, theta, d, steps):
+        if d == 1 and Weight(lam, theta) == d2:
+            lam[:], theta[:] = d1.lam, d1.theta
+        steps(lam, theta)
 
     assert verify_theorem(rank, mod, box, backend=_pure()).passed
-    monkeypatch.setattr(serganova, "forward", forward)
+    monkeypatch.setattr(serganova, "_steps", whole_order_steps(1, run))
+    assert serganova.forward(d2, mod, order, rank) == real(d1, mod, order, rank)
     report = verify_theorem(rank, mod, box, backend=_pure())
     assert [f["weight"] for f in report.failures] == [w2.to_json_dict()]
 
@@ -489,8 +510,7 @@ def test_theorem_hits_must_be_dominant(monkeypatch):
     # hit must not stand in for the dominant image it displaced
     rank, mod, box = SuperRank(1, 2), Modulus(2), Box(-1, 1)
     order = serganova.order_v1(1)
-    real_forward, real_inverse, real_pred = (
-        serganova.forward, serganova.inverse, classify.is_relevant_orbit)
+    real_forward, real_pred = serganova.forward, classify.is_relevant_orbit
     d0, w0 = next(
         (d, w)
         for d in dominant_weights(1, 2, -1, 1, 2)
@@ -499,14 +519,17 @@ def test_theorem_hits_must_be_dominant(monkeypatch):
     )
     swapped = Weight(w0.lam, w0.theta[::-1])
 
-    def forward(w, p, order, rank):
-        return swapped if w == d0 else real_forward(w, p, order, rank)
+    def run(lam, theta, d, steps):
+        if d == 1 and Weight(lam, theta) == d0:  # forward(d0) is swapped
+            lam[:], theta[:] = swapped.lam, swapped.theta
+            return
+        if d == -1 and Weight(lam, theta) == swapped:  # inverse(swapped) is d0
+            lam[:], theta[:] = w0.lam, w0.theta
+        steps(lam, theta)
 
-    def inverse(w, p, order, rank):
-        return real_inverse(w0 if w == swapped else w, p, order, rank)
-
-    monkeypatch.setattr(serganova, "forward", forward)
-    monkeypatch.setattr(serganova, "inverse", inverse)
+    monkeypatch.setattr(serganova, "_steps", whole_order_steps(1, run))
+    assert serganova.forward(d0, mod, order, rank) == swapped
+    assert serganova.inverse(swapped, mod, order, rank) == d0
     monkeypatch.setattr(
         classify, "is_relevant_orbit", lambda w, *args: w == swapped or real_pred(w, *args))
     report = verify_theorem(rank, mod, box, backend=_pure())
@@ -518,17 +541,14 @@ def test_theorem_scan_refuses_a_transform_that_leaves_the_walk(monkeypatch):
     # by two more than its steps: dominant preimages then lie beyond the
     # widened walk, the counts differ with no weight to name, and the scan
     # must raise rather than pass
-    real_forward, real_inverse = serganova.forward, serganova.inverse
+    def run(lam, theta, d, steps):
+        if d == -1:
+            lam[0] += 2
+        steps(lam, theta)
+        if d == 1:
+            lam[0] -= 2
 
-    def forward(w, p, order, rank):
-        out = real_forward(w, p, order, rank)
-        return Weight((out.lam[0] - 2,) + out.lam[1:], out.theta)
-
-    def inverse(w, p, order, rank):
-        return real_inverse(Weight((w.lam[0] + 2,) + w.lam[1:], w.theta), p, order, rank)
-
-    monkeypatch.setattr(serganova, "forward", forward)
-    monkeypatch.setattr(serganova, "inverse", inverse)
+    monkeypatch.setattr(serganova, "_steps", whole_order_steps(1, run))
     with pytest.raises(InternalConsistencyError, match="outside the walk"):
         verify_theorem(SuperRank(1, 2), Modulus(2), Box(-1, 1), backend=_pure())
 
@@ -552,15 +572,13 @@ def test_mutation_order_failures_name_the_broken_order(monkeypatch):
     # agrees, so the top comparison must catch it, and it names v1
     rank, mod = SuperRank(3, 4), Modulus(2)
     broken = serganova.order_v1(3)
-    real = serganova.forward
 
-    def forward(w, p, order, rank):
-        out = real(w, p, order, rank)
-        if order == broken:
-            out = Weight(out.lam, out.theta[:-1] + (out.theta[-1] + 1,))
-        return out
+    def run(lam, theta, d, steps):
+        steps(lam, theta)
+        if d == 1:
+            theta[-1] += 1
 
-    monkeypatch.setattr(serganova, "forward", forward)
+    monkeypatch.setattr(serganova, "_steps", whole_order_steps(3, run))
     report = verify_order_invariance(rank, mod, Box(-1, 1), backend=_pure(), failure_cap=5)
     assert len(report.failures) == 5
     assert all(f["order"] == [list(s) for s in broken.steps] for f in report.failures)
