@@ -48,27 +48,22 @@ from .roots import (
     standard_word,
 )
 from .serganova import (
-    Action,
-    Direction,
     StepOrder,
-    StepRecord,
-    Trace,
     all_linear_extensions,
     forward,
     inverse,
     order_v1,
     order_v2,
+    walk,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Action",
     "BorelWord",
     "Box",
     "CapacityError",
     "DimensionMismatch",
-    "Direction",
     "GroupConvention",
     "InternalConsistencyError",
     "Modulus",
@@ -76,9 +71,7 @@ __all__ = [
     "PairIndex",
     "Root",
     "StepOrder",
-    "StepRecord",
     "SuperRank",
-    "Trace",
     "ValidationError",
     "VerificationReport",
     "Weight",
@@ -105,4 +98,5 @@ __all__ = [
     "verify_order_invariance",
     "verify_theorem",
     "verify_trace_invariants",
+    "walk",
 ]

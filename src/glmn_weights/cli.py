@@ -27,7 +27,7 @@ from .core import (CapacityError, InternalConsistencyError, Modulus, SuperRank, 
                    Weight)
 from .oracle import Box
 from .roots import BorelWord, excess_pairs, hasse_edges, mixed_word, positive_roots, standard_word
-from .serganova import StepOrder, _walk, forward, inverse, order_v1, order_v2
+from .serganova import StepOrder, forward, inverse, order_v1, order_v2, walk
 
 EXIT_OK = 0
 EXIT_FAILURES = 1
@@ -199,7 +199,9 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
         ns.checks = oracle.CHECK_NAMES if ns.check == "all" else (ns.check,)
     if "cap" in ns:
         validated(serganova._require_cap, ns.cap)
-        validated(oracle._require_cap, ns.failure_cap)
+        validated(oracle._require_positive, ns.failure_cap, "failure cap")
+    if "limit" in ns:
+        validated(oracle._require_positive, ns.limit, "limit")
 
     if errors:
         raise ValidationError("; ".join(errors))
@@ -285,10 +287,10 @@ def _run_transform(args, fin, fout, ferr):
     def convert_trace(w):
         # the transform runs once: its result is the state after the last
         # step, or the weight itself when there is no step (M = 0)
-        lam, theta = list(w.lam), list(w.theta)
-        steps = ", ".join([step % (k, i, j, "move" if moved else "noop", s, *lam, *theta)
-                           for k, (i, j), moved, s in _walk(lam, theta, order, p, d)])
-        return result % (*lam, *theta, steps)
+        lam, theta, steps = w.lam, w.theta, []
+        for k, (i, j), moved, s, lam, theta in walk(w, p, order, rank, d):
+            steps.append(step % (k, i, j, "move" if moved else "noop", s, *lam, *theta))
+        return result % (*lam, *theta, ", ".join(steps))
 
     return _stream(args, fin, fout, ferr, convert_trace if args.trace else convert)
 

@@ -136,13 +136,14 @@ class VerificationReport:
 
 
 def _require_within_limit(n: int, limit: int, what: str) -> None:
+    _require_positive(limit, "limit")
     if n > limit:
         raise CapacityError(f"{what} {n} weights, over the enumeration limit {limit}")
 
 
-def _require_cap(failure_cap: int) -> None:
-    if failure_cap < 1:
-        raise ValidationError(f"failure cap must be at least 1, got {failure_cap}")
+def _require_positive(n: int, what: str) -> None:
+    if n < 1:
+        raise ValidationError(f"{what} must be at least 1, got {n}")
 
 
 def enumerate_box(
@@ -177,8 +178,8 @@ def _scan(name, rank: SuperRank, p: Modulus, box: Box, limit, failure_cap, backe
     if name == "theorem":  # and the walk widened by the (1, 1) steps
         visited += box.dominant_count(rank, sum(1 for s in steps[0] if s == (1, 1)))
     what = f"check {name} at rank ({rank.M}|{rank.N}), box {box.lo}:{box.hi} visits"
+    _require_positive(failure_cap, "failure cap")
     _require_within_limit(visited, limit, what)
-    _require_cap(failure_cap)
     be = backend if backend is not None else kernels.active_backend()
     args = (rank.M, rank.N, p.p, box.lo, box.hi, *steps, failure_cap)
     try:

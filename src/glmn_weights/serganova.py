@@ -1,4 +1,4 @@
-"""Serganova's algorithm for GL(M|N) weights, with step orders and traces.
+"""Serganova's algorithm for GL(M|N) weights, with step orders and step walks.
 
 The forward transform takes a weight that is dominant for the standard
 Borel subgroup and produces the highest weight of the same irreducible
@@ -18,11 +18,11 @@ any trailing entries ride along unchanged.
 The transform core (`_steps`) applies the step rule on two int lists
 (lambda and theta) and builds no intermediate weights; it is the one
 definition of a step, which the order check's lattice walk and the trace
-check's scan apply one step at a time.  `_walk` takes the steps of one run
-through that core and yields what each step did; `Trace.records` and CLI
-`transform --trace` both read it.  A caller that wants typed steps builds
-`Trace(direction, order, w, p)`, which stores only those four and builds its
-records from the walk on first read.
+check's scan apply one step at a time.  A caller that wants the steps reads
+`walk(w, p, order, rank, d)`, which takes the steps of one run through that
+core and yields, per step, the step number, the pair, whether a unit moved,
+the sum before the step, and the lambda and theta lists holding the state
+after it; CLI `transform --trace` formats its output from the walk.
 
 The order ideals (down-sets) of the pair order, Catalan(M+1) of them, form
 a lattice; `ideal_lattice` lists its covering edges, which the order check
@@ -35,13 +35,11 @@ shape (M, M-1, ..., 1), counted by the hook length formula
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cache, cached_property
 from math import comb, factorial, prod
 
 from .core import (
     CapacityError,
-    DimensionMismatch,
     Modulus,
     SuperRank,
     ValidationError,
@@ -55,16 +53,6 @@ from .roots import PairIndex, all_pairs, pair_leq
 DEFAULT_EXTENSION_CAP = 10_000
 
 
-class Action(Enum):
-    NOOP = "noop"
-    MOVE = "move"
-
-
-class Direction(Enum):
-    FORWARD = "forward"
-    INVERSE = "inverse"
-
-
 @dataclass(frozen=True)
 class StepOrder:
     """A linear extension of the excess-pair order for a given M."""
@@ -73,6 +61,7 @@ class StepOrder:
     steps: tuple[PairIndex, ...]
 
     def __post_init__(self):
+        _require_m(self.M)
         try:
             steps = tuple(PairIndex(i, j) for (i, j) in self.steps)
         except (TypeError, ValueError) as exc:
@@ -102,54 +91,12 @@ class StepOrder:
 
     @cached_property
     def _walks(self) -> tuple[tuple[tuple, ...], tuple[tuple, ...]]:
-        """The steps `_walk` takes in turn, forward and inverse (the pairs
+        """The steps `walk` takes in turn, forward and inverse (the pairs
         in reverse), each as (k, (i, j), i - 1, j - 1, ((i - 1, j - 1),)):
         the last entry is the one-step list of indices for _steps."""
-        walk = [(pair, a, b, ((a, b),)) for pair, (a, b) in zip(self.steps, self.indices)]
-        return (tuple((k, *s) for k, s in enumerate(walk, 1)),
-                tuple((k, *s) for k, s in enumerate(reversed(walk), 1)))
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    """What happened on one step: the pair visited, the action taken, the
-    diagonal sum seen before acting, and the full state afterwards."""
-
-    k: int
-    pair: PairIndex
-    action: Action
-    sum_before: int
-    state_after: Weight
-
-
-@dataclass(frozen=True)
-class Trace:
-    """The run of one transform: its direction, the order used, and the
-    weight and modulus it started from.  `records` (one StepRecord per step)
-    is built on first read from the steps `_walk` takes, then cached; it
-    raises DimensionMismatch unless the start has M = order_used.M lambda
-    entries and more than M theta entries."""
-
-    direction: Direction
-    order_used: StepOrder
-    start: Weight
-    p: Modulus
-
-    def __post_init__(self):
-        if not isinstance(self.direction, Direction):
-            raise ValidationError(f"direction must be a Direction, got {self.direction!r}")
-
-    @cached_property
-    def records(self) -> tuple[StepRecord, ...]:
-        lam, theta, M = self.start.lam, self.start.theta, self.order_used.M
-        if not len(lam) == M < len(theta):
-            raise DimensionMismatch(
-                f"trace start of shape ({len(lam)}|{len(theta)}) does not fit an order for M={M}"
-            )
-        lam, theta, d = list(lam), list(theta), -1 if self.direction is Direction.INVERSE else 1
-        return tuple(StepRecord(k, pair, Action.MOVE if moved else Action.NOOP, s,
-                                _valid_weight(tuple(lam), tuple(theta)))
-                     for k, pair, moved, s in _walk(lam, theta, self.order_used, self.p, d))
+        taken = [(pair, a, b, ((a, b),)) for pair, (a, b) in zip(self.steps, self.indices)]
+        return (tuple((k, *s) for k, s in enumerate(taken, 1)),
+                tuple((k, *s) for k, s in enumerate(reversed(taken), 1)))
 
 
 def order_v1(M: int) -> StepOrder:
@@ -176,6 +123,7 @@ def all_linear_extensions(M: int, cap: int = DEFAULT_EXTENSION_CAP) -> list[Step
     depth first, taking the up-steps in lexicographic pair order, so the
     list is lexicographically sorted.  Raises CapacityError, before
     enumerating, when more than `cap` extensions exist."""
+    _require_m(M)
     _require_cap(cap)
     count = linear_extension_count(M)
     if count > cap:
@@ -190,6 +138,11 @@ def all_linear_extensions(M: int, cap: int = DEFAULT_EXTENSION_CAP) -> list[Step
             found.append(StepOrder(M, chain))
         stack += ((I, chain + (x,)) for I, x in up.get(J, ()))
     return found
+
+
+def _require_m(M: int) -> None:
+    if not _is_int(M) or M < 0:
+        raise ValidationError(f"M must be a nonnegative integer, got {M!r}")
 
 
 def _require_cap(cap: int) -> None:
@@ -213,6 +166,7 @@ def ideal_lattice(
     CapacityError, before building, when there are more than `cap` ideals.
     Built once per M.
     """
+    _require_m(M)
     _require_cap(cap)
     count = comb(2 * M + 2, M + 1) // (M + 2)
     if count > cap:
@@ -251,15 +205,43 @@ def inverse(w: Weight, p: Modulus, order: StepOrder, rank: SuperRank) -> Weight:
     return _run(w, p, order, rank, -1)
 
 
+def walk(w: Weight, p: Modulus, order: StepOrder, rank: SuperRank, d: int = 1):
+    """Take the steps of `order` on w, in reverse for the inverse (d = -1),
+    one `_steps` call each, and yield (k, (i, j), moved, sum_before, lam,
+    theta) per step: the step number from 1, the pair, whether a unit moved,
+    lambda_i + theta_j before the step, and the working lists of lambda and
+    theta, which hold the state after step k until the next step is taken
+    (and the result once the walk ends).  Refuses, when called, the input
+    that forward and inverse refuse, and a d other than 1 or -1."""
+    lam, theta = _start(w, order, rank, d)
+    return _take(lam, theta, order._walks[d == -1], p, d)
+
+
+def _take(lam: list[int], theta: list[int], steps, p: Modulus, d: int):
+    """The generator of `walk`, over entries of StepOrder._walks."""
+    for k, pair, a, b, index in steps:
+        before = lam[a]
+        s = before + theta[b]
+        _steps(lam, theta, index, p, d)
+        yield k, pair, lam[a] != before, s, lam, theta
+
+
 def _run(w: Weight, p: Modulus, order: StepOrder, rank: SuperRank, d: int) -> Weight:
-    """Check the shapes, then take the steps of `order`, in reverse for the
-    inverse (d = -1)."""
+    """Take the steps of `order` on w, in reverse for the inverse (d = -1)."""
+    lam, theta = _start(w, order, rank, d)
+    _steps(lam, theta, order.indices if d == 1 else reversed(order.indices), p, d)
+    return _valid_weight(tuple(lam), tuple(theta))
+
+
+def _start(w: Weight, order: StepOrder, rank: SuperRank, d: int) -> tuple[list[int], list[int]]:
+    """Check the shapes and the direction; return w's lambda and theta as
+    the working lists of a run."""
     w.require_rank(rank)
     if order.M != rank.M:
         raise ValidationError(f"step order is for M={order.M}, rank has M={rank.M}")
-    lam, theta = list(w.lam), list(w.theta)
-    _steps(lam, theta, order.indices if d == 1 else reversed(order.indices), p, d)
-    return _valid_weight(tuple(lam), tuple(theta))
+    if d not in (1, -1) or not _is_int(d):
+        raise ValidationError(f"direction d must be 1 or -1, got {d!r}")
+    return list(w.lam), list(w.theta)
 
 
 def _steps(lam: list[int], theta: list[int], indices, p: Modulus, d: int = 1) -> None:
@@ -272,16 +254,3 @@ def _steps(lam: list[int], theta: list[int], indices, p: Modulus, d: int = 1) ->
         if not congruent_zero(lam[a] + theta[b], p):
             lam[a] -= d
             theta[b] += d
-
-
-def _walk(lam: list[int], theta: list[int], order: StepOrder, p: Modulus, d: int):
-    """Take the steps of `order` on `lam` and `theta` in place, in reverse
-    for the inverse (d = -1), one `_steps` call each.  After each step, while
-    the lists hold the state after it, yield (k, (i, j), moved, sum_before):
-    the step number from 1, the pair, whether a unit moved, and
-    lambda_i + theta_j before the step."""
-    for k, pair, a, b, index in order._walks[d == -1]:
-        before = lam[a]
-        s = before + theta[b]
-        _steps(lam, theta, index, p, d)
-        yield k, pair, lam[a] != before, s

@@ -17,7 +17,14 @@ from glmn_weights.classify import (
     orbit_representative,
 )
 from glmn_weights.core import Modulus, SuperRank, Weight, box_weights, dominant_weights
-from glmn_weights.serganova import Direction, Trace, forward, inverse, order_v1, order_v2
+from glmn_weights.serganova import (
+    all_linear_extensions,
+    forward,
+    inverse,
+    order_v1,
+    order_v2,
+    walk,
+)
 
 
 def invoke(args, stdin_text=""):
@@ -115,15 +122,12 @@ def _rendered(fmt, objs, columns=None, row=None):
     return out.getvalue()
 
 
-def _trace_object(w, p, order, direction):
-    records = Trace(direction, order, w, p).records
-    obj = (records[-1].state_after if records else w).to_json_dict()
-    obj["trace"] = [
-        {"k": rec.k, "pair": [rec.pair.i, rec.pair.j], "action": rec.action.value,
-         "sum_before": rec.sum_before, "state_after": rec.state_after.to_json_dict()}
-        for rec in records
-    ]
-    return obj
+def _trace_object(w, p, order, rank, d):
+    lam, theta, trace = w.lam, w.theta, []
+    for k, (i, j), moved, s, lam, theta in walk(w, p, order, rank, d):
+        trace.append({"k": k, "pair": [i, j], "action": "move" if moved else "noop",
+                      "sum_before": s, "state_after": {"lambda": list(lam), "theta": list(theta)}})
+    return {"lambda": list(lam), "theta": list(theta), "trace": trace}
 
 
 def _stream_weights(M, N, rng):
@@ -139,7 +143,7 @@ def _stream_weights(M, N, rng):
     return weights
 
 
-def test_stream_text_matches_the_json_encoding():
+def test_stream_text_matches_the_json_encoding(tmp_path):
     rng = random.Random(11)
     for M in range(4):
         N = M + 1 + M % 2
@@ -166,11 +170,17 @@ def test_stream_text_matches_the_json_encoding():
                     argv = ["classify", *rp, "--convention", convention.value, "--format", fmt]
                     assert invoke(argv, stdin) == (
                         0, _rendered(fmt, objs, columns + flags, row), ""), (M, p, convention, fmt)
-            for spec, order in (("v1", order_v1(M)), ("v2", order_v2(M))):
-                for direction, fn in ((Direction.FORWARD, forward), (Direction.INVERSE, inverse)):
+            # a file holds a middle linear extension: at M = 3, neither v1 nor v2
+            exts = all_linear_extensions(M)
+            middle = exts[len(exts) // 2]
+            assert (middle in (order_v1(M), order_v2(M))) == (M < 3)
+            path = tmp_path / f"order-{M}.json"
+            path.write_text(json.dumps([list(pair) for pair in middle.steps]))
+            for spec, order in (("v1", order_v1(M)), ("v2", order_v2(M)), (f"file:{path}", middle)):
+                for direction, fn, d in (("forward", forward, 1), ("inverse", inverse, -1)):
                     plain = [fn(w, mod, order, rank).to_json_dict() for w in weights]
-                    traced = [_trace_object(w, mod, order, direction) for w in weights]
-                    argv = ["transform", *rp, "--order", spec, "--direction", direction.value]
+                    traced = [_trace_object(w, mod, order, rank, d) for w in weights]
+                    argv = ["transform", *rp, "--order", spec, "--direction", direction]
                     for fmt in ("jsonl", "json"):
                         for trace, objs in (([], plain), (["--trace"], traced)):
                             assert invoke([*argv, *trace, "--format", fmt], stdin) == (
@@ -489,6 +499,12 @@ def test_validation_errors_exit_2():
         ["verify", "--M", "1", "--N", "2", "--p", "2", "--box", "-1:1", "--cap", "0",
          "--check", "image"],
         ["verify", "--M", "1", "--N", "2", "--p", "2", "--box", "-1:1", "--failure-cap", "0"],
+        # a limit below 1 is invalid, not a capacity error (exit 3)
+        ["verify", "--M", "1", "--N", "2", "--p", "2", "--box", "-1:1", "--limit", "-1"],
+        ["verify", "--M", "1", "--N", "2", "--p", "2", "--box", "-1:1", "--limit", "0",
+         "--check", "order"],
+        ["enumerate", "--M", "1", "--N", "2", "--box", "-1:1", "--limit", "-5"],
+        ["enumerate", "--M", "1", "--N", "2", "--box", "-1:1", "--limit", "0"],
     ):
         code, out, err = invoke(args)
         assert code == 2, args
@@ -503,9 +519,13 @@ def test_validation_errors_are_reported_together():
     assert code == 2
     assert "M < N" in err and "prime" in err and "LO:HI" in err
     code, out, err = invoke(["verify", "--M", "1", "--N", "2", "--p", "2", "--box", "-1:1",
-                             "--cap", "0", "--failure-cap", "0"])
+                             "--cap", "0", "--failure-cap", "0", "--limit", "0"])
     assert code == 2 and out == ""
     assert "cap must be positive" in err and "failure cap must be at least 1" in err
+    assert "limit must be at least 1" in err
+    code, out, err = invoke(["enumerate", "--M", "3", "--N", "3", "--box", "zz", "--limit", "-5"])
+    assert code == 2 and out == ""
+    assert "M < N" in err and "LO:HI" in err and "limit must be at least 1" in err
 
 
 def test_usage_errors_exit_2():

@@ -95,6 +95,15 @@ def test_box_validation():
             Box(lo, hi)
     with pytest.raises(ValidationError):
         verify_image(SuperRank(1, 2), Modulus(2), Box(-1, 1), failure_cap=0)
+    # a limit below 1 is refused as invalid, not reported as over capacity
+    rank, mod, box = SuperRank(1, 2), Modulus(2), Box(-1, 1)
+    for limit in (0, -1):
+        with pytest.raises(ValidationError, match="limit must be at least 1"):
+            enumerate_box(rank, box, limit=limit)
+        for verify in (verify_image, verify_order_invariance, verify_theorem,
+                       verify_trace_invariants):
+            with pytest.raises(ValidationError, match="limit must be at least 1"):
+                verify(rank, mod, box, limit=limit)
 
 
 def test_verify_image_passes():
@@ -651,31 +660,26 @@ def test_backends_agree_on_reports():
 
 
 def two_trace_walk(M, N, p, lo, hi, steps_v1, steps_v2, failure_cap):
-    """The trace check as a walk over the records of one serganova.Trace per
-    order: the reference that pins the trace scan, which steps lists itself,
-    against Trace.records."""
-    mod = Modulus(p)
+    """The trace check as one serganova.walk per order: the reference that
+    pins the trace scan, which steps lists itself, against the public walk."""
+    rank, mod = SuperRank(M, N), Modulus(p)
     total = 0
     failures = []
     for w in dominant_weights(M, N, lo, hi):
         total += 1
         base = sum(w.lam) + sum(w.theta)
         for tag, steps, chain in (("v1", steps_v1, "lambda"), ("v2", steps_v2, "theta")):
-            trace = serganova.Trace(
-                serganova.Direction.FORWARD, serganova.StepOrder(M, steps), w, mod
-            )
-            for rec in trace.records:
-                st = rec.state_after
-                after = st.lam[rec.pair.i - 1] + st.theta[rec.pair.j - 1]
+            order = serganova.StepOrder(M, steps)
+            for k, (i, j), _, s, lam, theta in serganova.walk(w, mod, order, rank):
                 for kind, broken in (
                     (chain + "_monotone", not classify._non_increasing(
-                        st.lam if tag == "v1" else st.theta[: M + 1])),
-                    ("sum_conservation", sum(st.lam) + sum(st.theta) != base),
-                    ("congruence_memory", not congruent_zero(after - rec.sum_before, mod)),
-                    ("dummy_theta", st.theta[M + 1 :] != w.theta[M + 1 :]),
+                        lam if tag == "v1" else theta[: M + 1])),
+                    ("sum_conservation", sum(lam) + sum(theta) != base),
+                    ("congruence_memory", not congruent_zero(lam[i - 1] + theta[j - 1] - s, mod)),
+                    ("dummy_theta", tuple(theta[M + 1 :]) != w.theta[M + 1 :]),
                 ):
                     if broken and len(failures) < failure_cap:
-                        failures.append((f"{kind}_{tag}", w.lam, w.theta, rec.k))
+                        failures.append((f"{kind}_{tag}", w.lam, w.theta, k))
     return total, failures
 
 
@@ -730,7 +734,7 @@ TRACE_MUTANT_KINDS = {
 @pytest.mark.parametrize("mutant", TRACE_MUTANTS)
 def test_shared_trace_reports_what_two_traces_report(monkeypatch, mutant):
     # The trace scan steps lists itself; its failures, their tags and their
-    # order are those of a walk over the records of one trace per order.  At
+    # order are those of one serganova.walk per order.  At
     # M = 1 the column and the row order are one order; at M = 2 and 3 they
     # differ.  A substitute only reaches the pure backend; the compiled one
     # runs intact.

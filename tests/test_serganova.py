@@ -17,11 +17,7 @@ from glmn_weights.core import (
 )
 from glmn_weights.roots import PairIndex, all_pairs, pair_leq
 from glmn_weights.serganova import (
-    Action,
-    Direction,
     StepOrder,
-    StepRecord,
-    Trace,
     all_linear_extensions,
     forward,
     ideal_lattice,
@@ -29,11 +25,19 @@ from glmn_weights.serganova import (
     linear_extension_count,
     order_v1,
     order_v2,
+    walk,
 )
 
 
 def W(lam, theta):
     return Weight(tuple(lam), tuple(theta))
+
+
+def walked(w, p, order, rank, d=1):
+    """The steps of walk, each with the state after it copied out of the
+    working lists: (k, pair, moved, sum_before, lambda, theta)."""
+    return [(k, pair, moved, s, tuple(lam), tuple(theta))
+            for k, pair, moved, s, lam, theta in walk(w, p, order, rank, d)]
 
 
 def dominant(w):
@@ -93,6 +97,14 @@ def test_step_order_rejects_wrong_pair_sets():
     for steps in ((1, (1, 1)), ((1, 1, 1),), ((1.9, 1),), ((True, 1),), (("1", 1),)):
         with pytest.raises(ValidationError):
             StepOrder(1, steps)
+    # M is a nonnegative integer, as in SuperRank: an M of -1 would give an
+    # empty order, lattice and extension list
+    for M in ("2", -1, 1.0, True, None):
+        with pytest.raises(ValidationError, match="M must be a nonnegative integer"):
+            StepOrder(M, ())
+    for build in (all_linear_extensions, ideal_lattice):
+        with pytest.raises(ValidationError, match="M must be a nonnegative integer"):
+            build(-1)
 
 
 def test_all_linear_extensions_tiny():
@@ -223,25 +235,24 @@ def test_forward_single_step_move():
     r = SuperRank(1, 2)
     w, p, order = W((1,), (0, 0)), Modulus(2), order_v1(1)
     out = forward(w, p, order, r)
-    tr = Trace(Direction.FORWARD, order, w, p)
     assert out == W((0,), (1, 0))
-    (rec,) = tr.records
-    assert rec.k == 1
-    assert rec.pair == PairIndex(1, 1)
-    assert rec.action is Action.MOVE
-    assert rec.sum_before == 1
-    assert rec.state_after == out
-    assert tr.direction is Direction.FORWARD
+    ((k, pair, moved, s, lam, theta),) = walked(w, p, order, r)
+    assert k == 1
+    assert pair == PairIndex(1, 1)
+    assert moved is True
+    assert s == 1
+    assert W(lam, theta) == out
 
 
 def test_forward_single_step_noop():
     r = SuperRank(1, 2)
     w, p, order = W((1,), (1, 0)), Modulus(2), order_v1(1)
     out = forward(w, p, order, r)
-    tr = Trace(Direction.FORWARD, order, w, p)
     assert out == W((1,), (1, 0))
-    assert tr.records[0].action is Action.NOOP
-    assert tr.records[0].sum_before == 2
+    ((_, _, moved, s, lam, theta),) = walked(w, p, order, r)
+    assert moved is False
+    assert s == 2
+    assert W(lam, theta) == out
 
 
 def test_forward_m2_same_result_under_both_orders():
@@ -257,9 +268,9 @@ def test_forward_m0_is_identity_with_empty_trace():
     r = SuperRank(0, 2)
     w = W((), (3, -1))
     out = forward(w, Modulus(3), order_v1(0), r)
-    tr = Trace(Direction.FORWARD, order_v1(0), w, Modulus(3))
     assert out == w
-    assert tr.records == ()
+    for d in (1, -1):
+        assert list(walk(w, Modulus(3), order_v1(0), r, d)) == []
 
 
 def test_inverse_examples():
@@ -319,10 +330,9 @@ def test_sum_is_conserved_at_every_step():
     mod = Modulus(2)
     for w in box_weights(2, 3, -1, 1):
         base = sum(w.lam) + sum(w.theta)
-        for direction in Direction:
-            for rec in Trace(direction, order_v1(2), w, mod).records:
-                st_ = rec.state_after
-                assert sum(st_.lam) + sum(st_.theta) == base
+        for d in (1, -1):
+            for *_, lam, theta in walk(w, mod, order_v1(2), r, d):
+                assert sum(lam) + sum(theta) == base
 
 
 def test_congruence_memory_at_every_step():
@@ -330,11 +340,9 @@ def test_congruence_memory_at_every_step():
     for p in (0, 2, 3):
         mod = Modulus(p)
         for w in box_weights(2, 3, -1, 1):
-            for direction in Direction:
-                for rec in Trace(direction, order_v2(2), w, mod).records:
-                    st_ = rec.state_after
-                    after = st_.lam[rec.pair.i - 1] + st_.theta[rec.pair.j - 1]
-                    diff = after - rec.sum_before
+            for d in (1, -1):
+                for _, (i, j), _, s, lam, theta in walk(w, mod, order_v2(2), r, d):
+                    diff = lam[i - 1] + theta[j - 1] - s
                     assert diff == 0 if p == 0 else diff % p == 0
 
 
@@ -345,92 +353,80 @@ def test_monotone_intermediate_states_on_dominant_input():
         for w in box_weights(2, 3, -2, 2):
             if not dominant(w):
                 continue
-            for rec in Trace(Direction.FORWARD, order_v1(2), w, mod).records:
-                lam = rec.state_after.lam
+            for *_, lam, _ in walk(w, mod, order_v1(2), r):
                 assert all(lam[i] >= lam[i + 1] for i in range(len(lam) - 1))
-            for rec in Trace(Direction.FORWARD, order_v2(2), w, mod).records:
-                head = rec.state_after.theta[:3]
+            for *_, theta in walk(w, mod, order_v2(2), r):
+                head = theta[:3]
                 assert all(head[i] >= head[i + 1] for i in range(len(head) - 1))
 
 
 def test_trace_states_for_known_run():
     r = SuperRank(2, 3)
-    tr = Trace(Direction.FORWARD, order_v1(2), W((1, 1), (0, 0, 0)), Modulus(2))
-    assert [rec.state_after.lam for rec in tr.records] == [(1, 0), (1, 0), (1, 0)]
+    steps = walked(W((1, 1), (0, 0, 0)), Modulus(2), order_v1(2), r)
+    assert [lam for *_, lam, _ in steps] == [(1, 0), (1, 0), (1, 0)]
 
 
 def test_trailing_theta_entries_never_move():
     r = SuperRank(2, 5)
     mod = Modulus(2)
     for w in box_weights(2, 5, -1, 1):
-        for fn, direction in ((forward, Direction.FORWARD), (inverse, Direction.INVERSE)):
+        for fn, d in ((forward, 1), (inverse, -1)):
             for order in (order_v1(2), order_v2(2)):
                 out = fn(w, mod, order, r)
                 assert out.theta[2:] == w.theta[2:]
-                for rec in Trace(direction, order, w, mod).records:
-                    assert rec.state_after.theta[2:] == w.theta[2:]
+                for *_, theta in walked(w, mod, order, r, d):
+                    assert theta[2:] == w.theta[2:]
 
 
 def test_trace_shape_and_action_rule():
     r = SuperRank(3, 4)
     mod = Modulus(3)
     w = W((2, 1, 0), (1, 1, 0, -2))
-    tr = Trace(Direction.FORWARD, order_v1(3), w, mod)
-    assert len(tr.records) == 6
-    assert [rec.k for rec in tr.records] == list(range(1, 7))
-    assert tr.order_used == order_v1(3)
-    for rec in tr.records:
-        is_zero = rec.sum_before % 3 == 0
-        assert (rec.action is Action.NOOP) == is_zero
+    steps = walked(w, mod, order_v1(3), r)
+    assert len(steps) == 6
+    assert [k for k, *_ in steps] == list(range(1, 7))
+    assert [pair for _, pair, *_ in steps] == list(order_v1(3).steps)
+    for _, _, moved, s, _, _ in steps:
+        is_zero = s % 3 == 0
+        assert moved is not is_zero
 
 
-def _replay(w, p, order, direction):
+def _replay(w, p, order, d):
     # the step rule written out independently of the library's core
     lam, theta = list(w.lam), list(w.theta)
-    steps = order.steps if direction is Direction.FORWARD else order.steps[::-1]
-    unit = 1 if direction is Direction.FORWARD else -1
+    steps = order.steps if d == 1 else order.steps[::-1]
     out = []
     for k, (i, j) in enumerate(steps, start=1):
         before = lam[i - 1] + theta[j - 1]
         vanishes = before == 0 if p.p == 0 else before % p.p == 0
         if not vanishes:
-            lam[i - 1] -= unit
-            theta[j - 1] += unit
-        action = Action.NOOP if vanishes else Action.MOVE
-        out.append((k, (i, j), action, before, tuple(lam), tuple(theta)))
+            lam[i - 1] -= d
+            theta[j - 1] += d
+        out.append((k, (i, j), not vanishes, before, tuple(lam), tuple(theta)))
     return out
 
 
 def test_trace_records_match_an_independent_replay():
-    # one order object serves both directions and every weight; the records
-    # equal, and hash as, StepRecords built by the dataclass constructor
+    # one order object serves both directions and every weight: the steps
+    # and the states after them are those of the replay, and the last state
+    # is the transform's result
     r = SuperRank(2, 4)
     orders = (order_v1(2), order_v2(2))
     for p in (0, 2, 3):
         mod = Modulus(p)
         for w in box_weights(2, 4, -1, 1):
-            for fn, direction in ((forward, Direction.FORWARD), (inverse, Direction.INVERSE)):
+            for fn, d in ((forward, 1), (inverse, -1)):
                 for order in orders:
-                    tr = Trace(direction, order, w, mod)
-                    assert tr.records[-1].state_after == fn(w, mod, order, r)
-                    got = [
-                        (rec.k, tuple(rec.pair), rec.action, rec.sum_before,
-                         rec.state_after.lam, rec.state_after.theta)
-                        for rec in tr.records
-                    ]
-                    want = _replay(w, mod, order, direction)
-                    assert got == want
-                    built = tuple(StepRecord(k, PairIndex(*pair), action, s, W(lam, theta))
-                                  for k, pair, action, s, lam, theta in want)
-                    assert tr.records == built
-                    assert [hash(rec) for rec in tr.records] == [hash(rec) for rec in built]
-                    assert all(type(rec) is StepRecord for rec in tr.records)
-                    assert tr.records is tr.records
+                    got = walked(w, mod, order, r, d)
+                    assert W(*got[-1][4:]) == fn(w, mod, order, r)
+                    assert [(k, tuple(pair), *rest) for k, pair, *rest in got] == _replay(
+                        w, mod, order, d)
 
 
-def test_trace_records_are_the_steps_of_the_walk():
-    # every linear extension for M <= 3, both directions: the records are
-    # what serganova._walk yields, and the walk ends at the transform's result
+def test_walk_ends_at_the_transform_result():
+    # every linear extension for M <= 3, both directions: the working lists
+    # the walk yields are one pair of lists, and hold the transform's result
+    # once the walk ends
     rng = random.Random(3)
     for M in range(4):
         r = SuperRank(M, M + 2)
@@ -439,16 +435,15 @@ def test_trace_records_are_the_steps_of_the_walk():
         for p in (0, 2, 3):
             mod = Modulus(p)
             for order in all_linear_extensions(M):
-                for fn, direction, d in ((forward, Direction.FORWARD, 1),
-                                         (inverse, Direction.INVERSE, -1)):
+                for fn, d in ((forward, 1), (inverse, -1)):
                     for w in weights:
-                        lam, theta = list(w.lam), list(w.theta)
-                        steps = serganova._walk(lam, theta, order, mod, d)
-                        walked = [StepRecord(k, pair, Action.MOVE if moved else Action.NOOP, s,
-                                             W(lam, theta))
-                                  for k, pair, moved, s in steps]
-                        assert Trace(direction, order, w, mod).records == tuple(walked)
-                        assert W(lam, theta) == fn(w, mod, order, r)
+                        steps = list(walk(w, mod, order, r, d))
+                        assert [k for k, *_ in steps] == list(range(1, len(order.steps) + 1))
+                        if steps:
+                            lists = {(id(lam), id(theta)) for *_, lam, theta in steps}
+                            assert len(lists) == 1
+                            *_, lam, theta = steps[-1]
+                            assert W(lam, theta) == fn(w, mod, order, r)
 
 
 def test_trace_read_later_keeps_its_own_input():
@@ -456,11 +451,12 @@ def test_trace_read_later_keeps_its_own_input():
     mod = Modulus(2)
     w = W((1, 1), (0, 0, 0))
     first = forward(w, mod, order_v1(2), r)
-    tr = Trace(Direction.FORWARD, order_v1(2), w, mod)
+    steps = walk(w, mod, order_v1(2), r)
     forward(W((2, 0), (1, 1, 0)), mod, order_v1(2), r)
     inverse(first, mod, order_v2(2), r)
-    assert tr.records[-1].state_after == first
-    assert [rec.state_after.lam for rec in tr.records] == [(1, 0), (1, 0), (1, 0)]
+    states = [(tuple(lam), tuple(theta)) for *_, lam, theta in steps]
+    assert W(*states[-1]) == first
+    assert [lam for lam, _ in states] == [(1, 0), (1, 0), (1, 0)]
 
 
 def test_transforms_return_only_the_weight():
@@ -472,20 +468,23 @@ def test_transforms_return_only_the_weight():
     assert forward(w, Modulus(2), order_v1(2), r) == W((1, 0), (1, 0, 0))
 
 
-def test_trace_start_must_fit_its_order():
-    # lambda longer or shorter than M, or theta no longer than M: reading
-    # the records refuses the start instead of replaying it
-    for order, start in (
-        (order_v1(1), W((1, 0), (0, 0, 0))),
-        (order_v1(2), W((1,), (0, 0, 0))),
-        (order_v1(2), W((1, 0), (0, 0))),
-        (order_v1(0), W((), ())),
+def test_walk_refuses_what_the_transforms_refuse():
+    # a weight of another shape than the rank, or an order for another M:
+    # the walk refuses at the call, before any step, as forward and inverse do
+    r = SuperRank(2, 3)
+    for w, order, rank, error, message in (
+        (W((1,), (0, 0, 0)), order_v1(2), r, DimensionMismatch, "shape"),
+        (W((1, 0), (0, 0)), order_v1(2), r, DimensionMismatch, "shape"),
+        (W((), ()), order_v1(0), SuperRank(0, 1), DimensionMismatch, "shape"),
+        (W((1, 0), (0, 0, 0)), order_v1(1), r, ValidationError, "step order is for M=1"),
+        (W((1,), (0, 0)), order_v1(2), SuperRank(1, 2), ValidationError, "step order is for M=2"),
     ):
-        for direction in Direction:
-            tr = Trace(direction, order, start, Modulus(2))
-            with pytest.raises(DimensionMismatch, match="does not fit"):
-                tr.records
-    assert len(Trace(Direction.FORWARD, order_v1(2), W((1, 0), (0, 0, 0)), Modulus(2)).records) == 3
+        for fn, d in ((forward, 1), (inverse, -1)):
+            with pytest.raises(error, match=message):
+                walk(w, Modulus(2), order, rank, d)
+            with pytest.raises(error, match=message):
+                fn(w, Modulus(2), order, rank)
+    assert len(walked(W((1, 0), (0, 0, 0)), Modulus(2), order_v1(2), r)) == 3
 
 
 def test_first_linear_extension_is_the_column_order():
@@ -508,9 +507,12 @@ def test_dimension_and_order_mismatch_errors():
         forward(W((1, 0), (0, 0, 0)), Modulus(2), order_v1(1), r)
 
 
-def test_trace_refuses_a_direction_that_is_not_a_direction():
-    # the string "forward" used to replay the inverse silently
-    with pytest.raises(ValidationError, match="Direction"):
-        Trace("forward", order_v1(1), W((1,), (0, 0)), Modulus(2))
-    tr = Trace(Direction.FORWARD, order_v1(1), W((1,), (0, 0)), Modulus(2))
-    assert tr.records[-1].state_after == W((0,), (1, 0))
+def test_walk_refuses_a_direction_other_than_one_or_minus_one():
+    # a d of 2 would move two units a step, and True or 1.0 would stand in
+    # for 1; each is refused at the call
+    r, w = SuperRank(1, 2), W((1,), (0, 0))
+    for d in (0, 2, -2, True, 1.0, "forward", None):
+        with pytest.raises(ValidationError, match="direction d must be 1 or -1"):
+            walk(w, Modulus(2), order_v1(1), r, d)
+    assert walked(w, Modulus(2), order_v1(1), r)[-1][4:] == ((0,), (1, 0))
+    assert walked(W((0,), (1, 0)), Modulus(2), order_v1(1), r, -1)[-1][4:] == ((1,), (0, 0))
