@@ -97,8 +97,8 @@ def _pairs_from_roots(diff, M: int) -> tuple[PairIndex, ...]:
 
 
 def pair_leq(x: PairIndex, y: PairIndex) -> bool:
-    """Partial order on excess pairs: x comes no later than y iff
-    x.i >= y.i and x.j <= y.j."""
+    """The cell order of the staircase (M, M-1, ..., 1), pair (i, j) being cell
+    (M + 1 - i, j): x comes no later than y iff x.i >= y.i and x.j <= y.j."""
     return x.i >= y.i and x.j <= y.j
 
 

@@ -24,11 +24,12 @@ core and yields, per step, the step number, the pair, whether a unit moved,
 the sum before the step, and the lambda and theta lists holding the state
 after it; CLI `transform --trace` formats its output from the walk.
 
-The order ideals (down-sets) of the pair order, Catalan(M+1) of them, form
-a lattice; `ideal_lattice` lists its covering edges, which the order check
-walks instead of the linear extensions.  The extensions are its maximal
-chains (`all_linear_extensions`), the standard tableaux of the staircase
-shape (M, M-1, ..., 1), counted by the hook length formula
+The pair order is the cell order of the staircase (M, M-1, ..., 1): its
+order ideals, Catalan(M+1) of them, are the shapes inside the staircase,
+and `ideal_lattice` lists their covering edges, each removing one corner,
+which the order check walks instead of the linear extensions.  The
+extensions are the maximal chains (`all_linear_extensions`), the standard
+tableaux of the staircase, counted by the hook length formula
 (`linear_extension_count`).
 """
 
@@ -75,13 +76,15 @@ class StepOrder:
             raise ValidationError(
                 f"steps must visit each excess pair for M={self.M} exactly once, got {plain}"
             )
-        for a in range(len(steps)):
-            for b in range(a + 1, len(steps)):
-                if steps[a] != steps[b] and pair_leq(steps[b], steps[a]):
-                    raise ValidationError(
-                        f"steps are not a linear extension: {tuple(steps[b])} "
-                        f"must come before {tuple(steps[a])}"
-                    )
+        n = [0] * (self.M + 1) + [self.M]  # the shape so far; n_{M+1} = M never blocks row M
+        for a, (i, j) in enumerate(steps):
+            if n[i] != j - 1 or n[i + 1] < j:  # (i, j) is not an addable cell
+                b = next(b for b in range(a + 1, len(steps)) if pair_leq(steps[b], steps[a]))
+                raise ValidationError(
+                    f"steps are not a linear extension: {tuple(steps[b])} "
+                    f"must come before {tuple(steps[a])}"
+                )
+            n[i] = j
 
     @cached_property
     def indices(self) -> tuple[tuple[int, int], ...]:
@@ -101,11 +104,13 @@ class StepOrder:
 
 def order_v1(M: int) -> StepOrder:
     """Column sweep: j = 1..M, and within each j, i runs from M down to j."""
+    _require_m(M)
     return StepOrder(M, tuple(PairIndex(i, j) for j in range(1, M + 1) for i in range(M, j - 1, -1)))
 
 
 def order_v2(M: int) -> StepOrder:
     """Row sweep: i runs from M down to 1, and within each i, j = 1..i."""
+    _require_m(M)
     return StepOrder(M, tuple(PairIndex(i, j) for i in range(M, 0, -1) for j in range(1, i + 1)))
 
 
@@ -113,6 +118,7 @@ def linear_extension_count(M: int) -> int:
     """The number of linear extensions of the excess-pair order, by the hook
     length formula for the staircase (M, M-1, ..., 1): its n = M(M+1)/2
     cells have the hooks 2k - 1 (k = 1..M), each on M - k + 1 cells."""
+    _require_m(M)
     return factorial(M * (M + 1) // 2) // prod((2 * k - 1) ** (M - k + 1) for k in range(1, M + 1))
 
 
@@ -123,9 +129,8 @@ def all_linear_extensions(M: int, cap: int = DEFAULT_EXTENSION_CAP) -> list[Step
     depth first, taking the up-steps in lexicographic pair order, so the
     list is lexicographically sorted.  Raises CapacityError, before
     enumerating, when more than `cap` extensions exist."""
-    _require_m(M)
-    _require_cap(cap)
     count = linear_extension_count(M)
+    _require_cap(cap)
     if count > cap:
         raise CapacityError(f"{count} linear extensions for M={M}, over cap={cap}")
     up = {}
@@ -154,18 +159,19 @@ def ideal_lattice(
     M: int, cap: int = DEFAULT_EXTENSION_CAP
 ) -> tuple[tuple[int, int, PairIndex], ...]:
     """The lattice table of the order ideals (down-sets) of the excess-pair
-    order: one edge (I, J, x) per ideal I and maximal pair x of I, where J
-    is the ideal I - x.
+    order: the shapes (n_1, ..., n_M), n_1 <= ... <= n_M and n_i <= i, row i
+    holding the pairs (i, 1), ..., (i, n_i).  One edge (I, J, x) per shape I
+    and corner x = (i, n_i) of I, a maximal pair (n_{i-1} < n_i), where J is
+    I with n_i - 1.
 
-    The Catalan(M+1) ideals are numbered in size order (0 is the empty
-    ideal, the last one holds every pair), and lexicographically by their
-    sorted pairs within one size.  Edges come grouped by I in that order
-    and, within I, in reverse column order (order_v1) of x: so the first
-    edge of I removes its last pair in the column order, and following
-    first edges leads from I back to the empty ideal.  Raises
+    The Catalan(M+1) shapes are numbered in size order (0 is empty, the last
+    is the staircase), and lexicographically by their sorted pairs within one
+    size.  Edges come grouped by I in that order and, within I, by corner
+    from row M down to row 1, which is reverse column order (order_v1): so
+    the first edge of I removes its last pair in the column order, and
+    following first edges leads from I back to the empty shape.  Raises
     CapacityError, before building, when there are more than `cap` ideals.
-    Built once per M.
-    """
+    Built once per M."""
     _require_m(M)
     _require_cap(cap)
     count = comb(2 * M + 2, M + 1) // (M + 2)
@@ -176,23 +182,15 @@ def ideal_lattice(
 
 @cache
 def _ideal_lattice(M: int) -> tuple[tuple[int, int, PairIndex], ...]:
-    # an ideal is a bit mask over the pairs in column order
-    pairs = order_v1(M).steps
-    bit = [1 << k for k in range(len(pairs))]
-    below = [sum(bit[a] for a, x in enumerate(pairs) if a != b and pair_leq(x, y))
-             for b, y in enumerate(pairs)]
-    above = [sum(bit[a] for a, x in enumerate(pairs) if a != b and pair_leq(y, x))
-             for b, y in enumerate(pairs)]
-    ideals, level = [], [0]
-    while level:
-        ideals += sorted(level, key=lambda m: sorted(x for k, x in enumerate(pairs) if m & bit[k]))
-        level = list({m | bit[k] for m in level for k in range(len(pairs))
-                      if not m & bit[k] and below[k] & ~m == 0})
-    index = {m: n for n, m in enumerate(ideals)}
-    return tuple((n, index[m ^ bit[k]], pairs[k])
-                 for n, m in enumerate(ideals)
-                 for k in reversed(range(len(pairs)))
-                 if m & bit[k] and not above[k] & m)
+    # a shape is s = (n_0, n_1, ..., n_M) with n_0 = 0
+    shapes = [(0,)]
+    for i in range(1, M + 1):
+        shapes = [s + (n,) for s in shapes for n in range(s[-1], i + 1)]
+    shapes.sort(key=lambda s: (sum(s), [(i, j) for i, n in enumerate(s) for j in range(1, n + 1)]))
+    index = {s: k for k, s in enumerate(shapes)}
+    return tuple((k, index[s[:i] + (s[i] - 1,) + s[i + 1:]], PairIndex(i, s[i]))
+                 for k, s in enumerate(shapes)
+                 for i in range(M, 0, -1) if s[i - 1] < s[i])
 
 
 def forward(w: Weight, p: Modulus, order: StepOrder, rank: SuperRank) -> Weight:

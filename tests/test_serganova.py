@@ -46,6 +46,13 @@ def dominant(w):
     )
 
 
+def first_pair_out_of_order(steps):
+    """The reference check: the first (a, b), a < b, with steps[b] strictly
+    below steps[a] by pair_leq, or None for a linear extension."""
+    return next(((a, b) for a in range(len(steps)) for b in range(a + 1, len(steps))
+                 if steps[a] != steps[b] and pair_leq(steps[b], steps[a])), None)
+
+
 def test_order_v1_listing():
     assert tuple(order_v1(2).steps) == (PairIndex(2, 1), PairIndex(1, 1), PairIndex(2, 2))
     assert tuple(order_v1(1).steps) == (PairIndex(1, 1),)
@@ -75,10 +82,7 @@ def test_order_v2_listing():
 def test_canonical_orders_are_linear_extensions():
     for M in range(0, 6):
         for order in (order_v1(M), order_v2(M)):
-            steps = order.steps
-            for a in range(len(steps)):
-                for b in range(a + 1, len(steps)):
-                    assert not (steps[a] != steps[b] and pair_leq(steps[b], steps[a]))
+            assert first_pair_out_of_order(order.steps) is None
 
 
 def test_step_order_rejects_non_extension():
@@ -98,13 +102,35 @@ def test_step_order_rejects_wrong_pair_sets():
         with pytest.raises(ValidationError):
             StepOrder(1, steps)
     # M is a nonnegative integer, as in SuperRank: an M of -1 would give an
-    # empty order, lattice and extension list
-    for M in ("2", -1, 1.0, True, None):
+    # empty order, lattice and extension list, and a count of 1
+    builds = (all_linear_extensions, ideal_lattice, linear_extension_count, order_v1, order_v2)
+    for M in ("2", -1, 1.0, 2.0, True, None):
         with pytest.raises(ValidationError, match="M must be a nonnegative integer"):
             StepOrder(M, ())
-    for build in (all_linear_extensions, ideal_lattice):
-        with pytest.raises(ValidationError, match="M must be a nonnegative integer"):
-            build(-1)
+        for build in builds:
+            with pytest.raises(ValidationError, match="M must be a nonnegative integer"):
+                build(M)
+
+
+def test_step_order_refuses_as_the_pairwise_scan():
+    # every order of the pairs for M = 0..3, 1 + 1 + 6 + 720 of them: the
+    # shape walk accepts the linear extensions and names, for the rest, the
+    # first pair the pairwise scan finds
+    seen = accepted = 0
+    for M in range(4):
+        for steps in permutations(all_pairs(M)):
+            seen += 1
+            found = first_pair_out_of_order(steps)
+            if found is None:
+                accepted += 1
+                assert StepOrder(M, steps).steps == steps
+                continue
+            a, b = found
+            with pytest.raises(ValidationError) as exc:
+                StepOrder(M, steps)
+            assert str(exc.value) == (f"steps are not a linear extension: {tuple(steps[b])} "
+                                      f"must come before {tuple(steps[a])}")
+    assert (seen, accepted) == (728, 1 + 1 + 2 + 16)
 
 
 def test_all_linear_extensions_tiny():
@@ -119,15 +145,7 @@ def test_all_linear_extensions_tiny():
 
 def test_all_linear_extensions_m3_matches_permutation_filter():
     exts = {tuple(o.steps) for o in all_linear_extensions(3)}
-    brute = set()
-    for perm in permutations(all_pairs(3)):
-        ok = all(
-            not (perm[b] != perm[a] and pair_leq(perm[b], perm[a]))
-            for a in range(6)
-            for b in range(a + 1, 6)
-        )
-        if ok:
-            brute.add(perm)
+    brute = {perm for perm in permutations(all_pairs(3)) if first_pair_out_of_order(perm) is None}
     assert exts == brute
     assert len(exts) == 16
 
@@ -185,6 +203,9 @@ def test_ideal_lattice_against_brute_force(M):
         if I == len(sets):
             sets.append(sets[J] | {x})
     assert sorted(sets, key=len) == sets and set(sets) == set(down_sets)
+    # numbered by size, then by sorted pairs within one size, as the
+    # compiled order scan assumes
+    assert sets == sorted(down_sets, key=lambda s: (len(s), sorted(s)))
     # one edge per ideal I and maximal pair x of I, pointing to I - x
     expected = {
         (I, x, I - {x})
