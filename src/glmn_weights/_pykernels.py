@@ -1,9 +1,11 @@
 """Pure-Python scan kernels: the fallback backend for the exhaustive
 verification loops.
 
-Mirrors the compiled extension's scan_* API, step lists (_load_steps) and
-failure payloads exactly.  Every scan walks dominant chains only, as tuple
-pairs (core._dominant_pairs): the image, order and trace scans the dominant
+Both backends read a scan's arguments here: the compiled scans call
+_check, _load_steps and _load_ideals, so both refuse the same arguments
+with the same error, and both give the same totals and failure payloads.
+Every scan walks dominant chains only, as tuple pairs
+(core._dominant_pairs): the image, order and trace scans the dominant
 weights of the box, the theorem scan those and the dominant weights of a
 box widened upward in lambda, which hold every dominant preimage of a box
 weight.  Each scan looks up what it runs in the library's modules once per
@@ -24,6 +26,7 @@ from .core import (
     InternalConsistencyError,
     Modulus,
     SuperRank,
+    ValidationError,
     _dominant_pairs,
     _valid_weight,
     congruent_zero,
@@ -32,9 +35,19 @@ from .core import (
 name = "pure"
 
 
+def _check(M, N, p, lo, hi):
+    """The rank and modulus of a scan, (SuperRank(M, N), Modulus(p)).
+    Raises ValidationError as those do, and as oracle.Box does unless
+    lo <= hi."""
+    rank, mod = SuperRank(M, N), Modulus(p)
+    if lo > hi:
+        raise ValidationError(f"box requires lo <= hi, got {lo}:{hi}")
+    return rank, mod
+
+
 def _load_steps(M, steps):
     """The indices (i - 1, j - 1) of lambda_i and theta_j for each pair of
-    `steps`, any iterable, in the order given, as C load_steps reads them.
+    `steps`, any iterable, in the order given: the step list of every scan.
     Raises ValueError unless each is a pair with 1 <= j <= i <= M."""
     ahead = []
     for pair in steps:
@@ -51,8 +64,7 @@ def scan_image(M, N, p, lo, hi, steps, failure_cap):
     is stepped as int lists: forward, it must be mixed, and back, itself.
     If it meets the vanishing condition it is mixed (it is dominant): back,
     it must be dominant, and forward again, itself."""
-    SuperRank(M, N)  # refuses a rank with M >= N, as the other scans do
-    mod = Modulus(p)
+    _, mod = _check(M, N, p, lo, hi)
     ahead = _load_steps(M, steps)
     # bound once per scan: substitutes installed before it still apply
     step, mixed, vanishing = serganova._steps, classify._mixed, classify._vanishing_on_equalities
@@ -92,8 +104,7 @@ def scan_theorem(M, N, p, lo, hi, steps, failure_cap):
     counts the weights of both walks.  Counts that differ with no failing
     weight found mean the transform broke the bound of the widened walk:
     InternalConsistencyError."""
-    rank = SuperRank(M, N)
-    mod = Modulus(p)
+    rank, mod = _check(M, N, p, lo, hi)
     ahead = _load_steps(M, steps)
     back = ahead[::-1]
     c = ahead.count((0, 0))  # the (1, 1) steps
@@ -170,8 +181,7 @@ def scan_order(M, N, p, lo, hi, steps, ideals, failure_cap):
     of the last ideal must equal the weight stepped through `steps`.
     Comparison k is edge k, or the top comparison for k = len(ideals); a
     failure names the weight and k.  `total` counts the comparisons."""
-    SuperRank(M, N)  # refuses a rank with M >= N, as the other scans do
-    mod = Modulus(p)
+    _, mod = _check(M, N, p, lo, hi)
     ahead = _load_steps(M, steps)
     edges = _load_ideals(M, ideals)
     top = edges[-1][0] if edges else 0
@@ -226,8 +236,7 @@ def scan_trace(M, N, p, lo, hi, steps_v1, steps_v2, failure_cap):
     theta entries never move.  Each order steps its own copy of the
     weight's lambda and theta lists with serganova._steps, one step at a
     time, and the invariants are read from the lists after each step."""
-    SuperRank(M, N)  # refuses a rank with M >= N, as the other scans do
-    mod = Modulus(p)
+    _, mod = _check(M, N, p, lo, hi)
     orders = ("v1", _load_steps(M, steps_v1), "lambda"), ("v2", _load_steps(M, steps_v2), "theta")
     # bound once per scan: substitutes installed before it still apply
     step = serganova._steps

@@ -1,8 +1,10 @@
 /*
  * Compiled scan kernels for the exhaustive verification loops.
  *
- * Same API and failure payloads as the pure backend (_pykernels); selected
- * at import time by glmn_weights.kernels when the extension is built.  A
+ * Same API and failure payloads as the pure backend (_pykernels), whose
+ * _check, _load_steps and _load_ideals read the arguments of every scan, so
+ * both backends refuse the same arguments with the same error; selected at
+ * import time by glmn_weights.kernels when the extension is built.  A
  * weight lives in one C long buffer (lambda first, then theta) and is walked
  * with an odometer, so the hot loop allocates nothing until a counterexample
  * shows up.  Every scan visits dominant weights only (next_dominant), in the
@@ -30,7 +32,10 @@
 #include <string.h>
 
 #define MAXN 64
-#define MAXSTEPS 2080 /* excess-pair count M*(M+1)/2 for M = 63 */
+/* A bound on the step buffers, not on a rank: M+N <= MAXN and M < N give
+   M <= 31, whose linear extensions have 496 steps; MAXSTEPS also holds step
+   lists with repeats. */
+#define MAXSTEPS 2080
 #define TOO_MANY_STEPS "too many steps for the compiled backend"
 
 /* ---- arithmetic on one weight: lambda = w[0..M), theta = w[M..M+N) ---- */
@@ -164,15 +169,31 @@ next_dominant(long *coords, Py_ssize_t M, Py_ssize_t n, long lo, long hi, long t
 
 /* ---- arguments and results ---- */
 
+static PyObject *pykernels; /* glmn_weights._pykernels: what a scan accepts */
+
+/* Call glmn_weights._pykernels.<name>(*args), stealing args: a new
+   reference, or NULL with an exception set. */
+static PyObject *
+call_pure(const char *name, PyObject *args)
+{
+    PyObject *fn = PyObject_GetAttrString(pykernels, name), *rc;
+
+    rc = fn == NULL || args == NULL ? NULL : PyObject_Call(fn, args, NULL);
+    Py_XDECREF(fn);
+    Py_XDECREF(args);
+    return rc;
+}
+
 static unsigned long
 magnitude(long x)
 {
     return x < 0 ? 0UL - (unsigned long)x : (unsigned long)x;
 }
 
-/* Check the rank and the box of a scan.  Each transform step moves a
-   coordinate by one unit and a coordinate takes part in at most M steps of
-   a linear extension, and the odometer never passes hi, so every
+/* Check the rank, modulus and box of a scan, the first five of its args,
+   with _pykernels._check, then the bounds of C.  Each transform step moves
+   a coordinate by one unit and a coordinate takes part in at most M steps
+   of a linear extension, and the odometer never passes hi, so every
    coordinate, diagonal sum and weight sum stays below
    (M+N) * (max(|lo|, |hi|) + M + 1) in magnitude; refuse the box when that
    reaches LONG_MAX + 1.  Other step lists, and the chains of edges of a
@@ -182,22 +203,18 @@ magnitude(long x)
    weight is conserved.  The magnitudes are unsigned because |LONG_MIN| is
    not a long. */
 static int
-check_box(Py_ssize_t M, Py_ssize_t N, long lo, long hi)
+check_box(PyObject *args, Py_ssize_t M, Py_ssize_t N, long lo, long hi)
 {
+    PyObject *rc = call_pure("_check", PyTuple_GetSlice(args, 0, 5));
     unsigned long reach;
 
-    if (M < 0 || N < 1 || M >= N) {
-        PyErr_Format(PyExc_ValueError, "invalid rank (%zd|%zd)", M, N);
+    if (rc == NULL)
         return -1;
-    }
+    Py_DECREF(rc);
     if (M + N > MAXN) {
         PyErr_Format(PyExc_OverflowError,
                      "compiled backend supports M+N <= %d, got %zd; use the pure backend",
                      MAXN, M + N);
-        return -1;
-    }
-    if (lo > hi) {
-        PyErr_Format(PyExc_ValueError, "box requires lo <= hi, got %ld:%ld", lo, hi);
         return -1;
     }
     reach = Py_MAX(magnitude(lo), magnitude(hi)) + (unsigned long)M + 1;
@@ -210,41 +227,43 @@ check_box(Py_ssize_t M, Py_ssize_t N, long lo, long hi)
     return 0;
 }
 
-/* Read the excess pairs (i, j), 1 <= j <= i <= M, of steps into buffer
-   positions: lambda_i at i - 1, theta_j at M + j - 1.  Return the number of
-   steps, or -1 with an exception set (OverflowError TOO_MANY_STEPS past max:
-   the pure backend has no such bound). */
-static Py_ssize_t
-load_steps(PyObject *steps, Py_ssize_t M, int *si, int *sj, Py_ssize_t max)
+/* Store the indices (a, b) of lambda_{a+1} and theta_{b+1}, as a loader
+   gives them, as buffer positions: *si = a and *sj = M + b.  The loaders
+   hold the rules of a step; this only guards the buffers, with SystemError
+   unless 0 <= a < M and 0 <= b < N. */
+static int
+store_pair(int a, int b, Py_ssize_t M, Py_ssize_t N, int *si, int *sj)
 {
-    PyObject *it, *pair, *v;
-    Py_ssize_t k = 0;
-    long ij[2];
-
-    if ((it = PyObject_GetIter(steps)) == NULL)
+    if (a < 0 || a >= M || b < 0 || b >= N) {
+        PyErr_Format(PyExc_SystemError, "loaded step (%d, %d) outside rank (%zd|%zd)", a, b,
+                     M, N);
         return -1;
-    while ((pair = PyIter_Next(it)) != NULL) {
-        if (k == max)
-            PyErr_SetString(PyExc_OverflowError, TOO_MANY_STEPS);
-        else if (PySequence_Size(pair) != 2 && !PyErr_Occurred())
-            PyErr_SetString(PyExc_ValueError, "steps must be (i, j) pairs");
-        for (int e = 0; e < 2 && !PyErr_Occurred(); e++) {
-            v = PySequence_GetItem(pair, e);
-            ij[e] = v == NULL ? -1 : PyLong_AsLong(v);
-            Py_XDECREF(v);
-        }
-        if (!PyErr_Occurred() && (ij[1] < 1 || ij[1] > ij[0] || ij[0] > M))
-            PyErr_Format(PyExc_ValueError, "step (%ld, %ld) is not an excess pair for M=%zd",
-                         ij[0], ij[1], M);
-        Py_DECREF(pair);
-        if (PyErr_Occurred())
-            break;
-        si[k] = (int)(ij[0] - 1);
-        sj[k] = (int)(M + ij[1] - 1);
-        k++;
     }
-    Py_DECREF(it);
-    return PyErr_Occurred() ? -1 : k;
+    *si = a;
+    *sj = (int)M + b;
+    return 0;
+}
+
+/* Read steps with _pykernels._load_steps into buffer positions (store_pair).
+   Return the number of steps, or -1 with an exception set (OverflowError
+   TOO_MANY_STEPS past MAXSTEPS: the pure backend has no such bound). */
+static Py_ssize_t
+load_steps(PyObject *steps, Py_ssize_t M, Py_ssize_t N, int *si, int *sj)
+{
+    PyObject *ahead = call_pure("_load_steps", Py_BuildValue("(nO)", M, steps));
+    Py_ssize_t ns = ahead == NULL ? -1 : PyList_Size(ahead); /* SystemError unless a list */
+    int a, b;
+
+    if (ns > MAXSTEPS) {
+        PyErr_SetString(PyExc_OverflowError, TOO_MANY_STEPS);
+        ns = -1;
+    }
+    for (Py_ssize_t k = 0; k < ns; k++)
+        if (!PyArg_ParseTuple(PyList_GET_ITEM(ahead, k), "ii", &a, &b)
+            || store_pair(a, b, M, N, si + k, sj + k) < 0)
+            ns = -1;
+    Py_XDECREF(ahead);
+    return ns;
 }
 
 static PyObject *
@@ -300,8 +319,7 @@ scan_image(PyObject *self, PyObject *args)
     long coords[MAXN], work[MAXN];
 
     if (!PyArg_ParseTuple(args, "nnlllOn:scan_image", &M, &N, &p, &lo, &hi, &steps, &cap)
-        || check_box(M, N, lo, hi) < 0
-        || (ns = load_steps(steps, M, si, sj, MAXSTEPS)) < 0)
+        || check_box(args, M, N, lo, hi) < 0 || (ns = load_steps(steps, M, N, si, sj)) < 0)
         return NULL;
     if ((failures = PyList_New(0)) == NULL)
         return NULL;
@@ -383,8 +401,7 @@ scan_theorem(PyObject *self, PyObject *args)
     long coords[MAXN], work[MAXN];
 
     if (!PyArg_ParseTuple(args, "nnlllOn:scan_theorem", &M, &N, &p, &lo, &hi, &steps, &cap)
-        || check_box(M, N, lo, hi) < 0
-        || (ns = load_steps(steps, M, si, sj, MAXSTEPS)) < 0)
+        || check_box(args, M, N, lo, hi) < 0 || (ns = load_steps(steps, M, N, si, sj)) < 0)
         return NULL;
     if ((failures = PyList_New(0)) == NULL)
         return NULL;
@@ -432,87 +449,55 @@ fail:
     return NULL;
 }
 
-#define EDGE_SHAPE "an edge must be (ideal, below, (i, j))"
-
-/* Read one edge of a lattice table, any sequence (ideal, below, pair), into
-   *ideal and *below, and return a new one-step list holding its pair; NULL
-   with an exception set on error. */
-static PyObject *
-read_edge(PyObject *obj, long *ideal, long *below)
-{
-    PyObject *item = PySequence_Fast(obj, EDGE_SHAPE), *one = NULL;
-
-    if (item == NULL)
-        return NULL;
-    if (PySequence_Fast_GET_SIZE(item) != 3)
-        PyErr_SetString(PyExc_ValueError, EDGE_SHAPE);
-    else {
-        *ideal = PyLong_AsLong(PySequence_Fast_GET_ITEM(item, 0));
-        *below = PyErr_Occurred() ? 0 : PyLong_AsLong(PySequence_Fast_GET_ITEM(item, 1));
-        if (!PyErr_Occurred())
-            one = PyTuple_Pack(1, PySequence_Fast_GET_ITEM(item, 2));
-    }
-    Py_DECREF(item);
-    return one;
-}
-
-/* Read the lattice table into edge[5 * e ...]: ideal I, ideal J = I - x,
-   the buffer positions of lambda_i and theta_j of the pair x = (i, j), and
-   whether the edge is the first of I.  The rules are those of the pure
-   backend (_pykernels._load_ideals): 0 <= J < I, I equal to the ideal of
-   the edge before (0 before the first) or one past it, and (i, j) an
-   excess pair for M.  A state is reached from the weight by at most
-   MAXSTEPS steps, as check_box assumes: a table with a longer chain of
-   edges is refused with OverflowError.  Return the number of edges, or -1
-   with an exception set (*edge is then freed by the caller). */
+/* Read the lattice table with _pykernels._load_ideals into edge[5 * e ...]:
+   ideal I, ideal J = I - x, the buffer positions of lambda_i and theta_j of
+   the pair x = (i, j) (store_pair), and whether the edge is the first of I.
+   The loader holds the rules of a table; this only guards the buffers, with
+   SystemError unless 0 <= J < I <= e + 1.  A state is reached from the
+   weight by at most MAXSTEPS steps, as check_box assumes: a table with a
+   longer chain of edges is refused with OverflowError.  Return the number
+   of edges, or -1 with an exception set (*edge is then freed by the
+   caller). */
 static Py_ssize_t
-load_ideals(PyObject *seq, Py_ssize_t M, int **edge)
+load_ideals(PyObject *ideals, Py_ssize_t M, Py_ssize_t N, int **edge)
 {
-    Py_ssize_t ne = PySequence_Fast_GET_SIZE(seq), rc = ne;
-    long ideal, below, last = 0;
-    int si[1], sj[1], *depth;
-    PyObject *one;
+    PyObject *table = call_pure("_load_ideals", Py_BuildValue("(nO)", M, ideals));
+    Py_ssize_t ne = table == NULL ? -1 : PyList_Size(table), rc = ne;
+    int a, b, *depth;
 
-    *edge = PyMem_New(int, 5 * ne + 1);
-    depth = PyMem_New(int, ne + 1);
-    if (*edge == NULL || depth == NULL) {
-        PyMem_Free(depth);
-        PyErr_NoMemory();
+    if (ne < 0) {
+        Py_XDECREF(table);
         return -1;
     }
-    depth[0] = 0;
+    *edge = PyMem_New(int, 5 * ne + 1);
+    depth = PyMem_Calloc(ne + 1, sizeof(int));
+    if (*edge == NULL || depth == NULL) {
+        PyErr_NoMemory();
+        rc = -1;
+    }
     for (Py_ssize_t e = 0; e < ne && rc >= 0; e++) {
         int *ed = *edge + 5 * e;
 
-        if ((one = read_edge(PySequence_Fast_GET_ITEM(seq, e), &ideal, &below)) == NULL) {
+        if (!PyArg_ParseTuple(PyList_GET_ITEM(table, e), "ii((ii))p", ed, ed + 1, &a, &b, ed + 4)
+            || store_pair(a, b, M, N, ed + 2, ed + 3) < 0)
             rc = -1;
-            break;
-        }
-        if (!(0 <= below && below < ideal && last <= ideal && ideal <= last + 1)) {
-            PyErr_Format(PyExc_ValueError,
-                         "edge (%ld, %ld) does not follow the ideals before it", ideal, below);
-            rc = -1;
-        }
-        else if (load_steps(one, M, si, sj, 1) < 0)
-            rc = -1;
-        Py_DECREF(one);
-        if (rc < 0)
-            break;
-        ed[0] = (int)ideal;
-        ed[1] = (int)below;
-        ed[2] = si[0];
-        ed[3] = sj[0];
-        ed[4] = ideal != last;
-        if (ed[4] || depth[ideal] < depth[below] + 1)
-            depth[ideal] = depth[below] + 1;
-        if (depth[ideal] > MAXSTEPS) {
-            PyErr_SetString(PyExc_OverflowError,
-                            "lattice table too deep for the compiled backend; use the pure backend");
+        else if (ed[1] < 0 || ed[0] <= ed[1] || ed[0] > e + 1) {
+            PyErr_Format(PyExc_SystemError, "loaded edge %zd (%d, %d) outside the table", e,
+                         ed[0], ed[1]);
             rc = -1;
         }
-        last = ideal;
+        else {
+            if (ed[4] || depth[ed[0]] < depth[ed[1]] + 1)
+                depth[ed[0]] = depth[ed[1]] + 1;
+            if (depth[ed[0]] > MAXSTEPS) {
+                PyErr_SetString(PyExc_OverflowError, "lattice table too deep for the "
+                                                     "compiled backend; use the pure backend");
+                rc = -1;
+            }
+        }
     }
     PyMem_Free(depth);
+    Py_DECREF(table);
     return rc;
 }
 
@@ -525,24 +510,22 @@ load_ideals(PyObject *seq, Py_ssize_t M, int **edge)
 static PyObject *
 scan_order(PyObject *self, PyObject *args)
 {
-    Py_ssize_t M, N, n, ns, ne, cap, stride, top;
+    Py_ssize_t M, N, n, ns, ne, cap, stride, top = 0;
     long p, lo, hi, total = 0;
-    PyObject *steps, *ideals, *seq = NULL, *failures = NULL;
+    PyObject *steps, *ideals, *failures = NULL;
     int si[MAXSTEPS], sj[MAXSTEPS], *edge = NULL;
     long coords[MAXN], work[MAXN], *state = NULL;
 
     if (!PyArg_ParseTuple(args, "nnlllOOn:scan_order", &M, &N, &p, &lo, &hi, &steps, &ideals,
                           &cap)
-        || check_box(M, N, lo, hi) < 0
-        || (ns = load_steps(steps, M, si, sj, MAXSTEPS)) < 0)
+        || check_box(args, M, N, lo, hi) < 0 || (ns = load_steps(steps, M, N, si, sj)) < 0)
         return NULL;
-    if ((seq = PySequence_Fast(ideals, "the lattice table must be a sequence of edges")) == NULL)
-        return NULL;
-    if ((ne = load_ideals(seq, M, &edge)) < 0)
+    if ((ne = load_ideals(ideals, M, N, &edge)) < 0)
         goto fail;
     n = M + N;
     stride = (n + 3) / 4 * 4;
-    top = ne > 0 ? edge[5 * (ne - 1)] : 0;
+    for (Py_ssize_t e = 0; e < ne; e++)
+        top = Py_MAX(top, edge[5 * e]); /* the last ideal; state must hold every one */
     if ((state = PyMem_New(long, (top + 1) * stride)) == NULL) {
         PyErr_NoMemory();
         goto fail;
@@ -571,12 +554,10 @@ scan_order(PyObject *self, PyObject *args)
     } while (next_dominant(coords, M, n, lo, hi, hi));
     PyMem_Free(edge);
     PyMem_Free(state);
-    Py_DECREF(seq);
     return Py_BuildValue("(lN)", total, failures);
 fail:
     PyMem_Free(edge);
     PyMem_Free(state);
-    Py_DECREF(seq);
     Py_XDECREF(failures);
     return NULL;
 }
@@ -597,10 +578,10 @@ scan_trace(PyObject *self, PyObject *args)
 
     if (!PyArg_ParseTuple(args, "nnlllOOn:scan_trace", &M, &N, &p, &lo, &hi, &steps[0],
                           &steps[1], &cap)
-        || check_box(M, N, lo, hi) < 0)
+        || check_box(args, M, N, lo, hi) < 0)
         return NULL;
     for (int tag = 0; tag < 2; tag++)
-        if ((ns[tag] = load_steps(steps[tag], M, si[tag], sj[tag], MAXSTEPS)) < 0)
+        if ((ns[tag] = load_steps(steps[tag], M, N, si[tag], sj[tag])) < 0)
             return NULL;
     if ((failures = PyList_New(0)) == NULL)
         return NULL;
@@ -669,8 +650,11 @@ static struct PyModuleDef speedups = {
 PyMODINIT_FUNC
 PyInit__speedups(void)
 {
-    PyObject *m = PyModule_Create(&speedups);
+    PyObject *m;
 
+    if ((pykernels = PyImport_ImportModule("glmn_weights._pykernels")) == NULL)
+        return NULL;
+    m = PyModule_Create(&speedups);
     if (m != NULL && PyModule_AddStringConstant(m, "name", "compiled") < 0)
         Py_CLEAR(m);
     return m;

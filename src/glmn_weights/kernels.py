@@ -8,6 +8,8 @@ The compiled scans compute in C long on at most 64 coordinates and enforce
 those bounds themselves: each raises OverflowError, before it visits a
 weight, on a rank with more coordinates or more than 2080 steps, or a modulus
 or box that C long cannot hold.  The pure scans have none of these bounds.
+Every other refusal is the pure backend's: the compiled scans read their
+arguments through the loaders of _pykernels, imported here first.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ import pytest
 
 from glmn_weights import kernels
 from glmn_weights.classify import GroupConvention, is_relevant_orbit
-from glmn_weights.core import Modulus, SuperRank, Weight
+from glmn_weights.core import Modulus, SuperRank, ValidationError, Weight
 from glmn_weights.serganova import ideal_lattice, order_v1, order_v2
 
 needs_compiled = pytest.mark.skipif(
@@ -404,8 +404,10 @@ def test_backends_take_a_step_list_that_is_not_an_extension():
     ),
 )
 def test_scans_refuse_a_step_that_is_not_an_excess_pair(steps):
-    # both backends refuse the same step lists, before visiting a weight
+    # both backends refuse the same step lists with the same error, before
+    # visiting a weight
     steps = steps_of(order_v1(2)) + steps
+    refusals = set()
     for be in backends():
         for call in (
             lambda: be.scan_image(2, 3, 2, -1, 1, steps, 20),
@@ -413,15 +415,49 @@ def test_scans_refuse_a_step_that_is_not_an_excess_pair(steps):
             lambda: be.scan_order(2, 3, 2, -1, 1, steps, ideal_lattice(2), 20),
             lambda: be.scan_trace(2, 3, 2, -1, 1, steps, steps_of(order_v2(2)), 20),
         ):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError) as exc:
                 call()
+            refusals.add((type(exc.value), str(exc.value)))
+    assert len(refusals) == 1, refusals
+
+
+@pytest.mark.parametrize(
+    "box,message",
+    (
+        ((3, 2, 2, -1, 1), "rank requires M < N, got M=3, N=2"),
+        ((True, 3, 2, -1, 1), "rank entries must be integers, got (True, 3)"),
+        ((2, 3, 4, -1, 1), "modulus must be 0 or a prime, got 4"),
+        ((2, 3, -2, -1, 1), "modulus must be nonnegative, got -2"),
+        ((0, 2, 2, 1, 0), "box requires lo <= hi, got 1:0"),
+        ((2, 3, 2, 1, 0), "box requires lo <= hi, got 1:0"),
+    ),
+)
+def test_scans_refuse_a_rank_modulus_or_box_as_oracle_does(box, message):
+    # every backend refuses with the error of SuperRank, Modulus or
+    # oracle.Box, before visiting a weight; the steps and table are those
+    # of min(M, 2), which load, so that only the rank, modulus or box is
+    # refused
+    M = min(int(box[0]), 2)
+    s1, s2 = steps_of(order_v1(M)), steps_of(order_v2(M))
+    for be in backends():
+        for call in (
+            lambda: be.scan_image(*box, s1, 20),
+            lambda: be.scan_theorem(*box, s1, 20),
+            lambda: be.scan_order(*box, s1, ideal_lattice(M), 20),
+            lambda: be.scan_trace(*box, s1, s2, 20),
+        ):
+            with pytest.raises(ValidationError) as exc:
+                call()
+            assert (type(exc.value), str(exc.value)) == (ValidationError, message)
 
 
 @needs_compiled
 def test_compiled_refuses_more_steps_than_it_holds():
-    # the compiled scans hold 2080 steps, as many as a linear extension has
-    # at M = 63; past that they refuse with OverflowError, which oracle
-    # answers by running the pure backend, and the pure scans run any count
+    # the compiled step buffers hold 2080 steps, a bound for step lists with
+    # repeats: M + N <= 64 and M < N leave M <= 31, whose linear extensions
+    # have 496 steps; past 2080 the compiled scans refuse with
+    # OverflowError, which oracle answers by running the pure backend, and
+    # the pure scans run any count
     for n in (2080, 2081):
         steps = ((2, 1),) * n
         box = (2, 3, 3, 0, 1)
@@ -455,18 +491,42 @@ def test_compiled_refuses_more_steps_than_it_holds():
 )
 def test_scan_order_refuses_a_table_out_of_order(ideals):
     # every state must be set before it is read: both backends refuse the
-    # same tables, before visiting a weight
+    # same tables with the same error, before visiting a weight
     steps = steps_of(order_v1(2))
-    for be in [kernels.pure] + ([kernels.compiled] if kernels.compiled_available() else []):
-        with pytest.raises(ValueError):
+    refusals = set()
+    for be in backends():
+        with pytest.raises(ValueError) as exc:
             be.scan_order(2, 3, 2, -1, 1, steps, ideals, 20)
+        refusals.add((type(exc.value), str(exc.value)))
+    assert len(refusals) == 1, refusals
+
+
+@needs_compiled
+@pytest.mark.parametrize(
+    "loader,loaded",
+    (
+        ("_load_steps", [(2, 0)]),  # lambda_3 at M = 2
+        ("_load_steps", [(0, 3)]),  # theta_4 at N = 3
+        ("_load_steps", ((0, 0),)),  # not a list
+        ("_load_ideals", [(1, 0, [(0, 3)], True)]),  # theta_4 at N = 3
+        ("_load_ideals", [(1, 1, [(0, 0)], True)]),  # J = I
+        ("_load_ideals", [(1, -1, [(0, 0)], True)]),  # J before the empty ideal
+        ("_load_ideals", [(2, 0, [(0, 0)], True)]),  # ideal 2 at the first edge
+    ),
+)
+def test_compiled_scans_guard_their_buffers_against_a_broken_loader(monkeypatch, loader, loaded):
+    # the compiled scans read their arguments through the pure loaders, and
+    # an index a loader hands them outside their buffers is a SystemError
+    monkeypatch.setattr(kernels.pure, loader, lambda M, arg: loaded)
+    with pytest.raises(SystemError):
+        kernels.compiled.scan_order(2, 3, 2, -1, 1, steps_of(order_v1(2)), ideal_lattice(2), 20)
 
 
 @needs_compiled
 def test_compiled_order_refuses_a_table_deeper_than_its_steps():
     # a chain of edges, each stepping (1, 1) again: the compiled scan holds
-    # at most 2080 steps between a weight and a state, as many as a linear
-    # extension has at M = 63; past that it refuses, and the pure scan runs
+    # at most 2080 steps between a weight and a state, the bound of its
+    # step buffers; past that it refuses, and the pure scan runs
     def chain(n):
         return tuple((k, k - 1, (1, 1)) for k in range(1, n + 1))
 
