@@ -214,16 +214,19 @@ def scan_order(M, N, p, lo, hi, steps, ideals, failure_cap):
 
 def _load_ideals(M, ideals):
     """The edges of a lattice table as (I, J, [(i - 1, j - 1)], first): the
-    ideals, the pair as a one-step list for serganova._steps (_load_steps),
-    and whether the edge is the first of I.  Raises ValueError unless each
-    edge has 0 <= J < I and I equal to the ideal of the edge before (0
-    before the first) or one past it, so that every state is set before it
-    is read, and unless its pair is an excess pair for M."""
+    ideals, the pair as a one-step list for serganova._steps, and whether
+    the edge is the first of I.  Raises ValueError unless every pair is an
+    excess pair for M, read as one step list by _load_steps before any edge
+    is checked, and then unless each edge has 0 <= J < I and I equal to the
+    ideal of the edge before (0 before the first) or one past it, so that
+    every state is set before it is read."""
+    ideals = list(ideals)
+    ahead = _load_steps(M, [pair for _, _, pair in ideals])
     edges, last = [], 0
-    for ideal, below, pair in ideals:
+    for (ideal, below, _), one in zip(ideals, ahead):
         if not (0 <= below < ideal and last <= ideal <= last + 1):
             raise ValueError(f"edge ({ideal}, {below}) does not follow the ideals before it")
-        edges.append((ideal, below, _load_steps(M, (pair,)), ideal != last))
+        edges.append((ideal, below, [one], ideal != last))
         last = ideal
     return edges
 

@@ -10,10 +10,9 @@ diagonal sum lambda_i + theta_i must be congruent to zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
-from .core import Modulus, SuperRank, Weight, congruent_zero
+from .core import Modulus, SuperRank, Weight, _Value, congruent_zero
 
 
 class GroupConvention(Enum):
@@ -98,14 +97,26 @@ def is_relevant_orbit(
     return _vanishing_on_equalities(w.lam, w.theta, rank.M, p)
 
 
-@dataclass(frozen=True)
-class OrbitMatrix:
+class OrbitMatrix(_Value):
     """N x N monomial matrix stored as (row, col, exponent) triples, sorted
     row-major.  Exponent 0 is still a structural entry (the cell holds 1);
     cells absent from `entries` are zero."""
 
+    __match_args__ = ("size", "entries")
     size: int
     entries: tuple[tuple[int, int, int], ...]
+
+    def __init__(self, size: int, entries: tuple[tuple[int, int, int], ...]):
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "entries", entries)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.size, self.entries) == (other.size, other.entries)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.size, self.entries))
 
     def to_json_dict(self) -> dict:
         return {"size": self.size, "entries": [list(e) for e in self.entries]}

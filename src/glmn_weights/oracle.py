@@ -69,7 +69,6 @@ is run again on the pure backend.  Every report names the backend that ran.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from . import kernels
@@ -79,6 +78,7 @@ from .core import (
     SuperRank,
     ValidationError,
     _is_int,
+    _Value,
     box_weights,
     dominant_weights,
 )
@@ -88,18 +88,28 @@ DEFAULT_LIMIT = 10_000_000
 DEFAULT_FAILURE_CAP = 20
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(_Value):
     """Coordinate range [lo, hi] applied to every entry of lambda and theta."""
 
+    __match_args__ = ("lo", "hi")
     lo: int
     hi: int
 
-    def __post_init__(self):
-        if not _is_int(self.lo) or not _is_int(self.hi):
-            raise ValidationError(f"box bounds must be integers, got ({self.lo!r}, {self.hi!r})")
-        if self.lo > self.hi:
-            raise ValidationError(f"box requires lo <= hi, got {self.lo}:{self.hi}")
+    def __init__(self, lo: int, hi: int):
+        if not _is_int(lo) or not _is_int(hi):
+            raise ValidationError(f"box bounds must be integers, got ({lo!r}, {hi!r})")
+        if lo > hi:
+            raise ValidationError(f"box requires lo <= hi, got {lo}:{hi}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.lo, self.hi) == (other.lo, other.hi)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
 
     @property
     def width(self) -> int:
@@ -114,12 +124,27 @@ class Box:
         return comb(self.width + widen + rank.M - 1, rank.M) * comb(self.width + rank.N - 1, rank.N)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Value):
+    __match_args__ = ("check_name", "total", "failures", "backend")
     check_name: str
     total: int
     failures: tuple[dict, ...]
     backend: str  # the scan backend that ran: "pure" or "compiled"
+
+    def __init__(self, check_name: str, total: int, failures: tuple[dict, ...], backend: str):
+        object.__setattr__(self, "check_name", check_name)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "failures", failures)
+        object.__setattr__(self, "backend", backend)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.check_name, self.total, self.failures, self.backend) == (
+                other.check_name, other.total, other.failures, other.backend)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.check_name, self.total, self.failures, self.backend))
 
     @property
     def passed(self) -> bool:

@@ -10,10 +10,9 @@ order whose linear extensions drive the transform algorithm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import InternalConsistencyError, SuperRank, ValidationError
+from .core import InternalConsistencyError, SuperRank, ValidationError, _Value
 
 
 class Root(NamedTuple):
@@ -30,17 +29,26 @@ class PairIndex(NamedTuple):
     j: int
 
 
-@dataclass(frozen=True)
-class BorelWord:
+class BorelWord(_Value):
     """Permutation of 1..M+N giving the order in which flag vectors appear."""
 
+    __match_args__ = ("word",)
     word: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "word", tuple(self.word))
-        n = len(self.word)
-        if sorted(self.word) != list(range(1, n + 1)):
-            raise ValidationError(f"word must be a permutation of 1..{n}, got {self.word}")
+    def __init__(self, word):
+        word = tuple(word)
+        n = len(word)
+        if sorted(word) != list(range(1, n + 1)):
+            raise ValidationError(f"word must be a permutation of 1..{n}, got {word}")
+        object.__setattr__(self, "word", word)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.word == other.word
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.word)
 
 
 def standard_word(rank: SuperRank) -> BorelWord:

@@ -35,7 +35,6 @@ tableaux of the staircase, counted by the hook length formula
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 from math import comb, factorial, prod
 
@@ -47,6 +46,7 @@ from .core import (
     Weight,
     _is_int,
     _valid_weight,
+    _Value,
     congruent_zero,
 )
 from .roots import PairIndex, all_pairs, pair_leq
@@ -54,29 +54,28 @@ from .roots import PairIndex, all_pairs, pair_leq
 DEFAULT_EXTENSION_CAP = 10_000
 
 
-@dataclass(frozen=True)
-class StepOrder:
+class StepOrder(_Value):
     """A linear extension of the excess-pair order for a given M."""
 
+    __match_args__ = ("M", "steps")
     M: int
     steps: tuple[PairIndex, ...]
 
-    def __post_init__(self):
-        _require_m(self.M)
+    def __init__(self, M: int, steps):
+        _require_m(M)
         try:
-            steps = tuple(PairIndex(i, j) for (i, j) in self.steps)
+            steps = tuple(PairIndex(i, j) for (i, j) in steps)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"steps must be (i, j) pairs: {exc}") from exc
         plain = tuple(map(tuple, steps))  # for messages: ((1, 1),), not PairIndex reprs
         if not all(_is_int(v) for pair in steps for v in pair):
             raise ValidationError(f"steps must be (i, j) pairs of integers, got {plain!r}")
-        object.__setattr__(self, "steps", steps)
-        expected = set(all_pairs(self.M))
+        expected = set(all_pairs(M))
         if set(steps) != expected or len(steps) != len(expected):
             raise ValidationError(
-                f"steps must visit each excess pair for M={self.M} exactly once, got {plain}"
+                f"steps must visit each excess pair for M={M} exactly once, got {plain}"
             )
-        n = [0] * (self.M + 1) + [self.M]  # the shape so far; n_{M+1} = M never blocks row M
+        n = [0] * (M + 1) + [M]  # the shape so far; n_{M+1} = M never blocks row M
         for a, (i, j) in enumerate(steps):
             if n[i] != j - 1 or n[i + 1] < j:  # (i, j) is not an addable cell
                 b = next(b for b in range(a + 1, len(steps)) if pair_leq(steps[b], steps[a]))
@@ -85,6 +84,16 @@ class StepOrder:
                     f"must come before {tuple(steps[a])}"
                 )
             n[i] = j
+        object.__setattr__(self, "M", M)
+        object.__setattr__(self, "steps", steps)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.M, self.steps) == (other.M, other.steps)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.M, self.steps))
 
     @cached_property
     def indices(self) -> tuple[tuple[int, int], ...]:

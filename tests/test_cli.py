@@ -645,17 +645,42 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["passed"] is True
 
 
+def test_cli_process_imports_no_dataclasses_or_inspect():
+    # the value classes are plain classes: whatever command a CLI process
+    # runs, it loads neither dataclasses nor inspect, which dataclasses imports
+    script = """
+import io, json, sys
+from glmn_weights import cli
+line = json.dumps({"lambda": [1, 0], "theta": [2, 1, 0]}) + "\\n"
+rank = ["--M", "2", "--N", "3"]
+for argv in (["transform", *rank, "--p", "3"],
+             ["transform", *rank, "--p", "3", "--direction", "inverse", "--trace", "--order", "v2"],
+             ["classify", *rank, "--p", "3", "--format", "csv"],
+             ["orbit-rep", *rank],
+             ["roots", *rank, "--omega", "mixed"],
+             ["enumerate", *rank, "--box", "-1:1", "--filter", "relevant", "--p", "2"],
+             ["verify", *rank, "--p", "3", "--box", "-1:1", "--check", "all"]):
+    out = io.StringIO()
+    assert cli.main(argv, stdin=io.StringIO(line), stdout=out, stderr=sys.stderr) == 0, argv
+    assert out.getvalue(), argv
+print(sorted({"dataclasses", "inspect"} & set(sys.modules)))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def _closed_pipe_run(argv, stdin, keep):
     """Run the CLI with stdout piped to a reader that takes `keep` bytes and
     closes the pipe, as `| head -c keep` does.  Standard output is block
     buffered, as it is without PYTHONUNBUFFERED."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    proc = subprocess.Popen([sys.executable, "-m", "glmn_weights", *argv], env=env,
-                            stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    head = proc.stdout.read(keep) if keep else b""
-    proc.stdout.close()
-    err = proc.stderr.read()
-    return head, proc.wait(timeout=60), err
+    with subprocess.Popen([sys.executable, "-m", "glmn_weights", *argv], env=env,
+                          stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        head = proc.stdout.read(keep) if keep else b""
+        proc.stdout.close()
+        err = proc.stderr.read()
+        return head, proc.wait(timeout=60), err
 
 
 def test_closed_pipe_stops_quietly(tmp_path):

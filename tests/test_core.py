@@ -125,9 +125,9 @@ def test_dominant_weights_are_the_dominant_box_weights(M, N, lo, hi):
 @pytest.mark.parametrize("widen", (0, 1, 3))
 def test_dominant_weights_with_a_wider_lambda_range(M, N, widen):
     lo, hi = -1, 1
-    got = list(dominant_weights(M, N, lo, hi, hi + widen))
+    got = list(_dominant_pairs(M, N, lo, hi, hi + widen))
     want = [
-        Weight(lam, theta)
+        (lam, theta)
         for lam in product(range(lo, hi + widen + 1), repeat=M)
         for theta in product(range(lo, hi + 1), repeat=N)
         if _non_increasing(lam) and _non_increasing(theta)
@@ -141,8 +141,8 @@ def test_dominant_weights_of_an_empty_range(M, N):
     # like box_weights: no coordinates give the one empty weight, else none
     assert list(dominant_weights(M, N, 1, 0)) == list(box_weights(M, N, 1, 0))
     # an empty lambda range: no weight, unless there is no lambda
-    want = list(box_weights(M, N, 0, 0)) if M == 0 else []
-    assert list(dominant_weights(M, N, 0, 0, -1)) == want
+    want = [((), (0,) * N)] if M == 0 else []
+    assert list(_dominant_pairs(M, N, 0, 0, -1)) == want
 
 
 def _product_filter(M, N, lo, hi, lam_hi):
@@ -168,8 +168,9 @@ def test_the_chain_walk_against_a_product_filter(M, lo, hi):
         for lam_hi in (lo - 1, hi, hi + 3):
             want = _product_filter(M, N, lo, hi, lam_hi)
             assert list(_dominant_pairs(M, N, lo, hi, lam_hi)) == want
-            assert [(w.lam, w.theta) for w in dominant_weights(M, N, lo, hi, lam_hi)] == want
-        assert list(_dominant_pairs(M, N, lo, hi)) == _product_filter(M, N, lo, hi, hi)
+        want = _product_filter(M, N, lo, hi, hi)
+        assert list(_dominant_pairs(M, N, lo, hi)) == want
+        assert [(w.lam, w.theta) for w in dominant_weights(M, N, lo, hi)] == want
 
 
 @pytest.mark.parametrize("lo,hi", ((0, 0), (0, 1)))

@@ -501,6 +501,22 @@ def test_scan_order_refuses_a_table_out_of_order(ideals):
     assert len(refusals) == 1, refusals
 
 
+@pytest.mark.parametrize(
+    "ideals",
+    (
+        ((1, 0, (1, 2)), (1, 1, (2, 1))),  # a bad pair, then an edge with J = I
+        ((1, 1, (2, 1)), (1, 0, (1, 2))),  # an edge with J = I, then a bad pair
+    ),
+)
+def test_scan_order_names_a_bad_pair_before_a_bad_edge(ideals):
+    # the pairs of a table are read as one step list before any edge is
+    # checked: a bad pair is named wherever it stands, on both backends
+    steps = steps_of(order_v1(2))
+    for be in backends():
+        with pytest.raises(ValueError, match=r"^step \(1, 2\) is not an excess pair for M=2$"):
+            be.scan_order(2, 3, 2, -1, 1, steps, ideals, 20)
+
+
 @needs_compiled
 @pytest.mark.parametrize(
     "loader,loaded",
