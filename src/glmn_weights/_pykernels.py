@@ -1,9 +1,9 @@
-"""Pure-Python scan kernels: the fallback backend for the exhaustive
-verification loops.
+"""Pure-Python scan kernels: the reference backend for the exhaustive
+verification loops, and its fallback when the extension is not built.
 
 Both backends read a scan's arguments here: the compiled scans call
 _check, _load_steps and _load_ideals, so both refuse the same arguments
-with the same error, and both give the same totals and failure payloads.
+with the same error.  The pure scans name the failures of both backends.
 Every scan walks dominant chains only, as tuple pairs
 (core._dominant_pairs): the image, order and trace scans the dominant
 weights of the box, the theorem scan those and the dominant weights of a

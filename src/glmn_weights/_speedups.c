@@ -1,20 +1,20 @@
 /*
  * Compiled scan kernels for the exhaustive verification loops.
  *
- * Same API and failure payloads as the pure backend (_pykernels), whose
- * _check, _load_steps and _load_ideals read the arguments of every scan, so
- * both backends refuse the same arguments with the same error; selected at
- * import time by glmn_weights.kernels when the extension is built.  A
- * weight lives in one C long buffer (lambda first, then theta) and is walked
- * with an odometer, so the hot loop allocates nothing until a counterexample
- * shows up.  Every scan visits dominant weights only (next_dominant), in the
- * same lexicographic order as the pure backend: the image, order and trace
- * scans those of the box, the theorem scan those of the box and of the box
- * widened upward in lambda that holds every dominant preimage of a box
- * weight.  The order scan walks, on each weight, the lattice table it is
- * given (serganova.ideal_lattice), one state per order ideal, exactly as
- * the pure scan does.  Totals, failures and their order equal the pure
- * backend's.
+ * The hot loops of the pure scans (_pykernels), whose _check, _load_steps
+ * and _load_ideals read the arguments of every scan, so both backends
+ * refuse the same arguments with the same error.  A scan takes the
+ * arguments of its pure twin but the failure cap and gives (total, failed),
+ * the pure total and whether the check failed; glmn_weights.kernels has
+ * the pure scan name the failures of a failing one.  A weight lives in one
+ * C long buffer (lambda first, then theta) and is walked with an odometer,
+ * so the hot loop allocates nothing.  Every scan visits dominant
+ * weights only (next_dominant), in the same lexicographic order as the pure
+ * backend: the image, order and trace scans those of the box, the theorem
+ * scan those of the box and of the box widened upward in lambda that holds
+ * every dominant preimage of a box weight.  The order scan walks, on each
+ * weight, the lattice table it is given (serganova.ideal_lattice), one
+ * state per order ideal, exactly as the pure scan does.
  *
  * The kernels compute in C long on at most MAXN coordinates.  Every scan
  * refuses, with OverflowError and before it visits a weight, a rank with
@@ -28,7 +28,6 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <limits.h>
-#include <stdarg.h>
 #include <string.h>
 
 #define MAXN 64
@@ -266,62 +265,20 @@ load_steps(PyObject *steps, Py_ssize_t M, Py_ssize_t N, int *si, int *sj)
     return ns;
 }
 
-static PyObject *
-as_tuple(const long *a, Py_ssize_t n)
-{
-    PyObject *t = PyTuple_New(n), *v;
-
-    for (Py_ssize_t k = 0; t != NULL && k < n; k++) {
-        if ((v = PyLong_FromLong(a[k])) == NULL)
-            Py_CLEAR(t);
-        else
-            PyTuple_SET_ITEM(t, k, v);
-    }
-    return t;
-}
-
-/* Append (kind, lambda, theta, *tail) to failures while fewer than cap are
-   kept; tail_fmt is a Py_BuildValue tuple format such as "()" or "(n)".
-   Return -1 with an exception set on error. */
-static int
-note(PyObject *failures, Py_ssize_t cap, const char *kind, const long *w, Py_ssize_t M,
-     Py_ssize_t N, const char *tail_fmt, ...)
-{
-    PyObject *head, *tail, *item;
-    va_list va;
-    int rc;
-
-    if (PyList_GET_SIZE(failures) >= cap)
-        return 0;
-    va_start(va, tail_fmt);
-    tail = Py_VaBuildValue(tail_fmt, va);
-    va_end(va);
-    head = Py_BuildValue("(sNN)", kind, as_tuple(w, M), as_tuple(w + M, N));
-    item = head != NULL && tail != NULL ? PySequence_Concat(head, tail) : NULL;
-    Py_XDECREF(head);
-    Py_XDECREF(tail);
-    if (item == NULL)
-        return -1;
-    rc = PyList_Append(failures, item);
-    Py_DECREF(item);
-    return rc;
-}
-
 /* ---- the scans ---- */
 
 static PyObject *
 scan_image(PyObject *self, PyObject *args)
 {
-    Py_ssize_t M, N, n, ns, cap;
+    Py_ssize_t M, N, n, ns;
     long p, lo, hi, total = 0;
-    PyObject *steps, *failures;
+    int failed = 0;
+    PyObject *steps;
     int si[MAXSTEPS], sj[MAXSTEPS];
     long coords[MAXN], work[MAXN];
 
-    if (!PyArg_ParseTuple(args, "nnlllOn:scan_image", &M, &N, &p, &lo, &hi, &steps, &cap)
+    if (!PyArg_ParseTuple(args, "nnlllO:scan_image", &M, &N, &p, &lo, &hi, &steps)
         || check_box(args, M, N, lo, hi) < 0 || (ns = load_steps(steps, M, N, si, sj)) < 0)
-        return NULL;
-    if ((failures = PyList_New(0)) == NULL)
         return NULL;
     n = M + N;
     first_weight(coords, lo);
@@ -331,46 +288,19 @@ scan_image(PyObject *self, PyObject *args)
         total++;
         copy(work, coords, n);
         forward(work, p, si, sj, ns);
-        if (!mixed(work, M, N, p)
-            && note(failures, cap, "forward_not_in_mixed", coords, M, N, "()") < 0)
-            goto fail;
+        failed |= !mixed(work, M, N, p);
         inverse(work, p, si, sj, ns);
-        if (!equal(work, coords, n)
-            && note(failures, cap, "inverse_forward_roundtrip", coords, M, N, "()") < 0)
-            goto fail;
+        failed |= !equal(work, coords, n);
         if (vanishing(coords, M, p)) {
             total++;
             copy(work, coords, n);
             inverse(work, p, si, sj, ns);
-            if (!dominant(work, M, N)
-                && note(failures, cap, "inverse_not_in_dominant", coords, M, N, "()") < 0)
-                goto fail;
+            failed |= !dominant(work, M, N);
             forward(work, p, si, sj, ns);
-            if (!equal(work, coords, n)
-                && note(failures, cap, "forward_inverse_roundtrip", coords, M, N, "()") < 0)
-                goto fail;
+            failed |= !equal(work, coords, n);
         }
     } while (next_dominant(coords, M, n, lo, hi, hi));
-    return Py_BuildValue("(lN)", total, failures);
-fail:
-    Py_DECREF(failures);
-    return NULL;
-}
-
-/* Whether w is in the image of the dominant set by the membership test:
-   its inverse is dominant and maps forward onto w again. */
-static inline int
-member(const long *w, Py_ssize_t M, Py_ssize_t N, long p, const int *si, const int *sj,
-       Py_ssize_t ns)
-{
-    long a[MAXN];
-
-    copy(a, w, M + N);
-    inverse(a, p, si, sj, ns);
-    if (!dominant(a, M, N))
-        return 0;
-    forward(a, p, si, sj, ns);
-    return equal(a, w, M + N);
+    return Py_BuildValue("(lO)", total, failed ? Py_True : Py_False);
 }
 
 static inline int
@@ -382,28 +312,27 @@ in_box(const long *w, Py_ssize_t n, long lo, long hi)
     return 1;
 }
 
-/* The walks, their argument and the failure order are those of the theorem
-   check in the glmn_weights.oracle module docstring, and the totals those
-   of the pure scan_theorem.  Two tests of the pure scan cannot fail here
-   and are left out: every hit pulls back, since forward and inverse here
-   undo each other step by step; and no non-dominant neighbour is accepted,
-   since the relevance predicate in the non-increasing convention (both
-   chains non-increasing, and the diagonal sum vanishing wherever adjacent
-   chain entries are equal) is exactly the mixed condition, which tests the
-   chains first. */
+/* The two walks of the theorem check in the glmn_weights.oracle module
+   docstring, with the totals of the pure scan_theorem: the check fails
+   unless every image inside the box is mixed (a hit) and the hits are as
+   many as the relevant weights.  Two tests of the pure scan cannot
+   fail here and are left out: every hit pulls back, since forward and
+   inverse here undo each other step by step; and no non-dominant
+   neighbour is accepted, since the relevance predicate in the
+   non-increasing convention (both chains non-increasing, and the diagonal
+   sum vanishing wherever adjacent chain entries are equal) is exactly the
+   mixed condition, which tests the chains first. */
 static PyObject *
 scan_theorem(PyObject *self, PyObject *args)
 {
-    Py_ssize_t M, N, n, ns, cap;
-    long p, lo, hi, top, total = 0, hits = 0, accepted = 0;
-    PyObject *steps, *failures;
+    Py_ssize_t M, N, n, ns;
+    long p, lo, hi, top, total = 0, images = 0, hits = 0, accepted = 0;
+    PyObject *steps;
     int si[MAXSTEPS], sj[MAXSTEPS];
     long coords[MAXN], work[MAXN];
 
-    if (!PyArg_ParseTuple(args, "nnlllOn:scan_theorem", &M, &N, &p, &lo, &hi, &steps, &cap)
+    if (!PyArg_ParseTuple(args, "nnlllO:scan_theorem", &M, &N, &p, &lo, &hi, &steps)
         || check_box(args, M, N, lo, hi) < 0 || (ns = load_steps(steps, M, N, si, sj)) < 0)
-        return NULL;
-    if ((failures = PyList_New(0)) == NULL)
         return NULL;
     n = M + N;
     top = hi;
@@ -414,39 +343,17 @@ scan_theorem(PyObject *self, PyObject *args)
         total++;
         copy(work, coords, n);
         forward(work, p, si, sj, ns);
-        if (!in_box(work, n, lo, hi))
-            continue;
-        if (mixed(work, M, N, p))
-            hits++;
-        else if (note(failures, cap, "theorem_mismatch", work, M, N, "(OO)", Py_False, Py_True)
-                 < 0)
-            goto fail;
+        if (in_box(work, n, lo, hi)) {
+            images++;
+            hits += mixed(work, M, N, p);
+        }
     } while (next_dominant(coords, M, n, lo, hi, top));
     first_weight(coords, lo);
     do {
         total++;
         accepted += mixed(coords, M, N, p);
     } while (next_dominant(coords, M, n, lo, hi, hi));
-    if (hits != accepted || PyList_GET_SIZE(failures) > 0) {
-        first_weight(coords, lo);
-        do {
-            if (mixed(coords, M, N, p) && !member(coords, M, N, p, si, sj, ns)
-                && note(failures, cap, "theorem_mismatch", coords, M, N, "(OO)", Py_True,
-                        Py_False) < 0)
-                goto fail;
-        } while (next_dominant(coords, M, n, lo, hi, hi));
-        if (PyList_GET_SIZE(failures) == 0) {
-            PyErr_Format(PyExc_RuntimeError,
-                         "theorem scan: %ld image weights but %ld relevant ones, and no weight "
-                         "on which the two sides disagree (a preimage outside the walk)",
-                         hits, accepted);
-            goto fail;
-        }
-    }
-    return Py_BuildValue("(lN)", total, failures);
-fail:
-    Py_DECREF(failures);
-    return NULL;
+    return Py_BuildValue("(lO)", total, hits != images || hits != accepted ? Py_True : Py_False);
 }
 
 /* Read the lattice table with _pykernels._load_ideals into edge[5 * e ...]:
@@ -510,28 +417,26 @@ load_ideals(PyObject *ideals, Py_ssize_t M, Py_ssize_t N, int **edge)
 static PyObject *
 scan_order(PyObject *self, PyObject *args)
 {
-    Py_ssize_t M, N, n, ns, ne, cap, stride, top = 0;
+    Py_ssize_t M, N, n, ns, ne, stride, top = 0;
     long p, lo, hi, total = 0;
-    PyObject *steps, *ideals, *failures = NULL;
+    int failed = 0;
+    PyObject *steps, *ideals, *rc = NULL;
     int si[MAXSTEPS], sj[MAXSTEPS], *edge = NULL;
     long coords[MAXN], work[MAXN], *state = NULL;
 
-    if (!PyArg_ParseTuple(args, "nnlllOOn:scan_order", &M, &N, &p, &lo, &hi, &steps, &ideals,
-                          &cap)
+    if (!PyArg_ParseTuple(args, "nnlllOO:scan_order", &M, &N, &p, &lo, &hi, &steps, &ideals)
         || check_box(args, M, N, lo, hi) < 0 || (ns = load_steps(steps, M, N, si, sj)) < 0)
         return NULL;
     if ((ne = load_ideals(ideals, M, N, &edge)) < 0)
-        goto fail;
+        goto done;
     n = M + N;
     stride = (n + 3) / 4 * 4;
     for (Py_ssize_t e = 0; e < ne; e++)
         top = Py_MAX(top, edge[5 * e]); /* the last ideal; state must hold every one */
     if ((state = PyMem_New(long, (top + 1) * stride)) == NULL) {
         PyErr_NoMemory();
-        goto fail;
+        goto done;
     }
-    if ((failures = PyList_New(0)) == NULL)
-        goto fail;
     first_weight(coords, lo);
     do {
         copy(state, coords, n);
@@ -541,50 +446,37 @@ scan_order(PyObject *self, PyObject *args)
 
             copy(dst, state + ed[1] * stride, n);
             step(dst, p, ed[2], ed[3], 1);
-            if (!ed[4] && !equal(work, state + ed[0] * stride, n)
-                && note(failures, cap, "order_mismatch", coords, M, N, "(n)", e) < 0)
-                goto fail;
+            failed |= !ed[4] && !equal(work, state + ed[0] * stride, n);
         }
         copy(work, coords, n);
         forward(work, p, si, sj, ns);
-        if (!equal(work, state + top * stride, n)
-            && note(failures, cap, "order_mismatch", coords, M, N, "(n)", ne) < 0)
-            goto fail;
+        failed |= !equal(work, state + top * stride, n);
         total += ne + 1;
     } while (next_dominant(coords, M, n, lo, hi, hi));
+    rc = Py_BuildValue("(lO)", total, failed ? Py_True : Py_False);
+done:
     PyMem_Free(edge);
     PyMem_Free(state);
-    return Py_BuildValue("(lN)", total, failures);
-fail:
-    PyMem_Free(edge);
-    PyMem_Free(state);
-    Py_XDECREF(failures);
-    return NULL;
+    return rc;
 }
-
-static const char *const TRACE_KINDS[2][4] = {
-    {"lambda_monotone_v1", "sum_conservation_v1", "congruence_memory_v1", "dummy_theta_v1"},
-    {"theta_monotone_v2", "sum_conservation_v2", "congruence_memory_v2", "dummy_theta_v2"},
-};
 
 static PyObject *
 scan_trace(PyObject *self, PyObject *args)
 {
-    Py_ssize_t M, N, n, ns[2], cap;
+    Py_ssize_t M, N, n, ns[2];
     long p, lo, hi, base, before, total = 0;
-    PyObject *steps[2], *failures;
+    int failed = 0;
+    PyObject *steps[2];
     int si[2][MAXSTEPS], sj[2][MAXSTEPS];
     long coords[MAXN], work[MAXN];
 
-    if (!PyArg_ParseTuple(args, "nnlllOOn:scan_trace", &M, &N, &p, &lo, &hi, &steps[0],
-                          &steps[1], &cap)
+    if (!PyArg_ParseTuple(args, "nnlllOO:scan_trace", &M, &N, &p, &lo, &hi, &steps[0],
+                          &steps[1])
         || check_box(args, M, N, lo, hi) < 0)
         return NULL;
     for (int tag = 0; tag < 2; tag++)
         if ((ns[tag] = load_steps(steps[tag], M, N, si[tag], sj[tag])) < 0)
             return NULL;
-    if ((failures = PyList_New(0)) == NULL)
-        return NULL;
     n = M + N;
     first_weight(coords, lo);
     do {
@@ -592,7 +484,6 @@ scan_trace(PyObject *self, PyObject *args)
         base = sum(coords, n);
         /* v1 keeps lambda non-increasing, v2 the first M+1 theta entries */
         for (int tag = 0; tag < 2; tag++) {
-            const char *const *kind = TRACE_KINDS[tag];
             const long *chain = tag == 0 ? work : work + M;
             Py_ssize_t chain_len = tag == 0 ? M : M + 1;
 
@@ -602,39 +493,30 @@ scan_trace(PyObject *self, PyObject *args)
 
                 before = work[a] + work[b];
                 step(work, p, a, b, 1);
-                if ((!non_increasing(chain, chain_len)
-                     && note(failures, cap, kind[0], coords, M, N, "(n)", k + 1) < 0)
-                    || (sum(work, n) != base
-                        && note(failures, cap, kind[1], coords, M, N, "(n)", k + 1) < 0)
-                    || (!congruent(work[a] + work[b] - before, p)
-                        && note(failures, cap, kind[2], coords, M, N, "(n)", k + 1) < 0)
-                    || (!equal(work + 2 * M + 1, coords + 2 * M + 1, N - M - 1)
-                        && note(failures, cap, kind[3], coords, M, N, "(n)", k + 1) < 0))
-                    goto fail;
+                failed |= !non_increasing(chain, chain_len) || sum(work, n) != base
+                          || !congruent(work[a] + work[b] - before, p)
+                          || !equal(work + 2 * M + 1, coords + 2 * M + 1, N - M - 1);
             }
         }
     } while (next_dominant(coords, M, n, lo, hi, hi));
-    return Py_BuildValue("(lN)", total, failures);
-fail:
-    Py_DECREF(failures);
-    return NULL;
+    return Py_BuildValue("(lO)", total, failed ? Py_True : Py_False);
 }
 
 /* ---- the module ---- */
 
 static PyMethodDef methods[] = {
     {"scan_image", scan_image, METH_VARARGS,
-     "scan_image($module, M, N, p, lo, hi, steps, failure_cap, /)\n--\n\n"
+     "scan_image($module, M, N, p, lo, hi, steps, /)\n--\n\n"
      "One pass over the dominant weights of the box checking both directions of\n"
      "the set equality."},
     {"scan_theorem", scan_theorem, METH_VARARGS,
-     "scan_theorem($module, M, N, p, lo, hi, steps, failure_cap, /)\n--\n\n"
+     "scan_theorem($module, M, N, p, lo, hi, steps, /)\n--\n\n"
      "Predicate vs algorithm, over dominant chains of the box and of a widened box."},
     {"scan_order", scan_order, METH_VARARGS,
-     "scan_order($module, M, N, p, lo, hi, steps, ideals, failure_cap, /)\n--\n\n"
+     "scan_order($module, M, N, p, lo, hi, steps, ideals, /)\n--\n\n"
      "The lattice of order ideals walked on dominant weights, its top vs forward."},
     {"scan_trace", scan_trace, METH_VARARGS,
-     "scan_trace($module, M, N, p, lo, hi, steps_v1, steps_v2, failure_cap, /)\n--\n\n"
+     "scan_trace($module, M, N, p, lo, hi, steps_v1, steps_v2, /)\n--\n\n"
      "Per-step invariants over both canonical orders, on dominant weights."},
     {NULL, NULL, 0, NULL},
 };
@@ -642,7 +524,8 @@ static PyMethodDef methods[] = {
 static struct PyModuleDef speedups = {
     PyModuleDef_HEAD_INIT,
     .m_name = "glmn_weights._speedups",
-    .m_doc = "Compiled scan kernels for the exhaustive verification loops.",
+    .m_doc = "Compiled scan kernels for the exhaustive verification loops; each scan\n"
+             "gives (total, failed), the total and whether the check failed.",
     .m_size = -1,
     .m_methods = methods,
 };
@@ -650,12 +533,7 @@ static struct PyModuleDef speedups = {
 PyMODINIT_FUNC
 PyInit__speedups(void)
 {
-    PyObject *m;
-
     if ((pykernels = PyImport_ImportModule("glmn_weights._pykernels")) == NULL)
         return NULL;
-    m = PyModule_Create(&speedups);
-    if (m != NULL && PyModule_AddStringConstant(m, "name", "compiled") < 0)
-        Py_CLEAR(m);
-    return m;
+    return PyModule_Create(&speedups);
 }

@@ -61,10 +61,11 @@ before the walk.  Enumeration is lexicographic and streaming, so reports
 are deterministic and memory use stays flat; failure lists are capped
 without affecting the verdict.
 
-The compiled backend computes in C long on at most 64 coordinates and
-enforces those bounds itself: its scans refuse with OverflowError any rank,
-modulus or box that it cannot hold through the transform, and such a scan
-is run again on the pure backend.  Every report names the backend that ran.
+The pure scans, the reference, name the failures of both backends.  The
+compiled backend computes in C long on at most 64 coordinates and enforces
+those bounds itself: its scans refuse with OverflowError any rank, modulus
+or box that it cannot hold through the transform, and such a scan is run
+again on the pure backend.  Every report names the backend that ran.
 """
 
 from __future__ import annotations
@@ -167,6 +168,8 @@ def _require_within_limit(n: int, limit: int, what: str) -> None:
 
 
 def _require_positive(n: int, what: str) -> None:
+    if not _is_int(n):
+        raise ValidationError(f"{what} must be an integer, got {n!r}")
     if n < 1:
         raise ValidationError(f"{what} must be at least 1, got {n}")
 

@@ -160,6 +160,8 @@ def _require_m(M: int) -> None:
 
 
 def _require_cap(cap: int) -> None:
+    if not _is_int(cap):
+        raise ValidationError(f"cap must be an integer, got {cap!r}")
     if cap <= 0:
         raise ValidationError(f"cap must be positive, got {cap}")
 

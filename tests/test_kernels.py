@@ -12,7 +12,13 @@ import pytest
 
 from glmn_weights import kernels
 from glmn_weights.classify import GroupConvention, is_relevant_orbit
-from glmn_weights.core import Modulus, SuperRank, ValidationError, Weight
+from glmn_weights.core import (
+    InternalConsistencyError,
+    Modulus,
+    SuperRank,
+    ValidationError,
+    Weight,
+)
 from glmn_weights.serganova import ideal_lattice, order_v1, order_v2
 
 needs_compiled = pytest.mark.skipif(
@@ -282,9 +288,9 @@ def lattice_walk(M, N, p, lo, hi, steps, ideals):
 @needs_compiled
 def test_compiled_failure_reports():
     # Reversed steps are not a linear extension, and a table with its pairs
-    # reversed is not the lattice, so the scans must report failures:
-    # kinds, tuples, comparison index, flags, box order and cap as
-    # documented.
+    # reversed is not the lattice, so the compiled scans must fail, and the
+    # failures named for them must be as documented: kinds, tuples,
+    # comparison index, flags, box order and cap.
     M, N, p, lo, hi = 2, 3, 2, -1, 1
     rank, mod = SuperRank(M, N), Modulus(p)
     v1 = steps_of(order_v1(M))
@@ -335,6 +341,59 @@ def test_compiled_failure_reports():
         weights = [f[1] + f[2] for f in fails]
         assert weights == sorted(weights)
     assert all(1 <= f[3] <= len(rv1) for f in trace_fails)
+
+
+@needs_compiled
+def test_compiled_scans_give_the_total_and_a_verdict():
+    # the C scans take no failure cap and give (total, failed), the total
+    # of the pure scan: passed on the canonical orders and lattice table,
+    # failed on reversed steps and on a malformed table, and failed where a
+    # single condition fails: no steps (the image is not mixed), (1, 1)
+    # twice at (1|2) and p = 0 (an inverse is not dominant), a second edge
+    # into the top ideal at a wrong pair (that edge, not the top
+    # comparison), (1, 1) alone under v1 (lambda not monotone) and (2, 2)
+    # alone under v2 (theta not monotone)
+    from glmn_weights import _speedups
+
+    M, N, p, lo, hi = 2, 3, 2, -1, 1
+    v1, ideals = steps_of(order_v1(M)), ideal_lattice(M)
+    box = (M, N, p, lo, hi)
+    calls = [(scan, args, False) for scan, args in scan_calls(*box)]
+    calls += [(scan, args, True) for scan, args in scan_calls(*box, reverse=True)]
+    calls += [
+        ("scan_order", (*box, v1[::-1], ideals, 20), True),
+        ("scan_order", (*box, v1, malformed(ideals), 20), True),
+        ("scan_image", (*box, (), 20), True),
+        ("scan_image", (1, 2, 0, -1, 1, ((1, 1),) * 2, 20), True),
+        ("scan_order", (*box, v1, ideals[:-1] + ((4, 3, (2, 1)),), 20), True),
+        ("scan_trace", (*box, ((1, 1),), (), 20), True),
+        ("scan_trace", (*box, (), ((2, 2),), 20), True),
+    ]
+    for scan, args, failed in calls:
+        total, fails = getattr(kernels.pure, scan)(*args)
+        assert bool(fails) is failed
+        got = getattr(_speedups, scan)(*args[:-1])
+        assert got == (total, failed) and type(got[1]) is bool, scan
+        with pytest.raises(TypeError):
+            getattr(_speedups, scan)(*args)
+
+
+@needs_compiled
+@pytest.mark.parametrize("rerun", ("no failures", "another total"))
+def test_compiled_scan_refuses_a_pure_rerun_that_disagrees(monkeypatch, rerun):
+    # a failing compiled scan has its failures named by the pure scan, which
+    # must give the same total and at least one failure; a passing one
+    # never runs it
+    v1 = steps_of(order_v1(2))
+    passing, failing = (2, 3, 2, -1, 1, v1, 20), (2, 3, 2, -1, 1, v1[::-1], 20)
+    total, fails = kernels.pure.scan_image(*failing)
+    assert fails and kernels.compiled.scan_image(*failing) == (total, fails)
+    passed = kernels.pure.scan_image(*passing)
+    named = (total, []) if rerun == "no failures" else (total + 1, fails)
+    monkeypatch.setattr(kernels.pure, "scan_image", lambda *args: named)
+    assert kernels.compiled.scan_image(*passing) == passed
+    with pytest.raises(InternalConsistencyError, match="^scan_image: the compiled scan failed"):
+        kernels.compiled.scan_image(*failing)
 
 
 @needs_compiled

@@ -106,6 +106,16 @@ def test_box_validation():
                        verify_trace_invariants):
             with pytest.raises(ValidationError, match="limit must be at least 1"):
                 verify(rank, mod, box, limit=limit)
+    # a limit or failure cap that is not an integer is refused on every
+    # backend, before a scan runs
+    for bad in (2.5, True, "3"):
+        with pytest.raises(ValidationError, match="limit must be an integer"):
+            enumerate_box(rank, box, limit=bad)
+        for be in _backends():
+            with pytest.raises(ValidationError, match="limit must be an integer"):
+                verify_image(rank, mod, box, limit=bad, backend=be)
+            with pytest.raises(ValidationError, match="failure cap must be an integer"):
+                verify_image(rank, mod, box, failure_cap=bad, backend=be)
 
 
 def test_verify_image_passes():

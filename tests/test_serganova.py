@@ -243,6 +243,11 @@ def test_ideal_lattice_counts_and_cap():
         ideal_lattice(9)
     with pytest.raises(ValidationError):
         ideal_lattice(2, cap=0)
+    for bad in (2.5, True, "x"):
+        with pytest.raises(ValidationError, match="cap must be an integer"):
+            ideal_lattice(2, cap=bad)
+        with pytest.raises(ValidationError, match="cap must be an integer"):
+            all_linear_extensions(2, cap=bad)
 
 
 def test_all_linear_extensions_contain_both_canonical_orders():
