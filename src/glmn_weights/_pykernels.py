@@ -26,7 +26,7 @@ from .core import (
     InternalConsistencyError,
     Modulus,
     SuperRank,
-    ValidationError,
+    _check_box,
     _dominant_pairs,
     _valid_weight,
     congruent_zero,
@@ -37,11 +37,10 @@ name = "pure"
 
 def _check(M, N, p, lo, hi):
     """The rank and modulus of a scan, (SuperRank(M, N), Modulus(p)).
-    Raises ValidationError as those do, and as oracle.Box does unless
-    lo <= hi."""
+    Raises ValidationError as those do, and as oracle.Box does on the box
+    (core._check_box)."""
     rank, mod = SuperRank(M, N), Modulus(p)
-    if lo > hi:
-        raise ValidationError(f"box requires lo <= hi, got {lo}:{hi}")
+    _check_box(lo, hi)
     return rank, mod
 
 
@@ -60,10 +59,11 @@ def _load_steps(M, steps):
 
 def scan_image(M, N, p, lo, hi, steps, failure_cap):
     """One pass over the dominant weights of the box checking both
-    directions of the set equality, as the compiled scan does.  Each weight
-    is stepped as int lists: forward, it must be mixed, and back, itself.
-    If it meets the vanishing condition it is mixed (it is dominant): back,
-    it must be dominant, and forward again, itself."""
+    directions of the set equality.  Each weight is stepped as int lists:
+    forward, it must be mixed, and back, itself.  If it meets the vanishing
+    condition it is mixed (it is dominant): back, it must be dominant, and
+    forward again, itself.  The compiled scan leaves out the round trips,
+    which its step cannot fail."""
     _, mod = _check(M, N, p, lo, hi)
     ahead = _load_steps(M, steps)
     # bound once per scan: substitutes installed before it still apply

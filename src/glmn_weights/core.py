@@ -63,6 +63,15 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _check_box(lo, hi) -> None:
+    """The box rule of oracle.Box and of every scan: raises ValidationError
+    unless lo and hi are integers with lo <= hi."""
+    if not _is_int(lo) or not _is_int(hi):
+        raise ValidationError(f"box bounds must be integers, got ({lo!r}, {hi!r})")
+    if lo > hi:
+        raise ValidationError(f"box requires lo <= hi, got {lo}:{hi}")
+
+
 class _Value:
     """Base of the immutable value classes.  Each lists its fields in
     __match_args__ (the repr shows them), sets each once in __init__ with

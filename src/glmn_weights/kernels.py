@@ -8,7 +8,11 @@ Both backends have the same scans, scan_<check>(M, N, p, lo, hi, *steps,
 failure_cap) -> (total, failures).  A compiled scan runs its loop in C,
 which gives the total and whether the check failed; the failures of a
 failing one are named by the pure scan, the reference, which must give the
-same total and at least one failure, else InternalConsistencyError.
+same total and at least one failure, else InternalConsistencyError.  C runs
+one step rule, fixed at build time, and tests only what that step can get
+wrong (the _speedups.c header says what it leaves out, and why); the pure
+scans look the step rule up in serganova, test everything and name any
+failure.
 
 The compiled scans compute in C long on at most 64 coordinates and enforce
 those bounds themselves: each raises OverflowError, before it visits a

@@ -78,6 +78,7 @@ from .core import (
     Modulus,
     SuperRank,
     ValidationError,
+    _check_box,
     _is_int,
     _Value,
     box_weights,
@@ -97,10 +98,7 @@ class Box(_Value):
     hi: int
 
     def __init__(self, lo: int, hi: int):
-        if not _is_int(lo) or not _is_int(hi):
-            raise ValidationError(f"box bounds must be integers, got ({lo!r}, {hi!r})")
-        if lo > hi:
-            raise ValidationError(f"box requires lo <= hi, got {lo}:{hi}")
+        _check_box(lo, hi)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 

@@ -10,7 +10,7 @@ from itertools import product
 
 import pytest
 
-from glmn_weights import kernels
+from glmn_weights import kernels, serganova
 from glmn_weights.classify import GroupConvention, is_relevant_orbit
 from glmn_weights.core import (
     InternalConsistencyError,
@@ -436,6 +436,50 @@ def test_pure_scans_run_any_step_list(p):
         assert kernels.pure.scan_order(*args, ideals, 1000) == lattice_walk(*args, ideals)
 
 
+# the failure kinds of the pure image and trace scans that the compiled scans
+# leave out: no step rule that moves one unit between lambda_i and theta_j,
+# on a step list the loaders accept, can give them
+LEFT_OUT = ("_roundtrip", "sum_conservation_", "congruence_memory_", "dummy_theta_")
+
+
+def left_out_failures():
+    """The left-out kinds the pure image and trace scans report, uncapped,
+    on seeded random lists of excess pairs, in any order and with repeats,
+    at M = 1, 2 and 3 with two trailing theta entries and p = 0, 2 and 3."""
+    rng = random.Random(25)
+    kinds = set()
+    for M in (1, 2, 3):
+        pairs = [(i, j) for i in range(1, M + 1) for j in range(1, i + 1)]
+        for p in (0, 2, 3):
+            for _ in range(16):
+                s1, s2 = ([rng.choice(pairs) for _ in range(rng.randint(0, 10))] for _ in "12")
+                args = (M, M + 2, p, -1, 1)
+                _, image = kernels.pure.scan_image(*args, s1, float("inf"))
+                _, trace = kernels.pure.scan_trace(*args, s1, s2, float("inf"))
+                kinds.update(k for k, *_ in image + trace if any(x in k for x in LEFT_OUT))
+    return kinds
+
+
+def test_no_step_list_fails_what_the_compiled_scans_leave_out():
+    # chain failures may appear, as random step lists break the chains
+    assert left_out_failures() == set()
+
+
+def test_a_step_that_moves_two_units_fails_what_the_compiled_scans_leave_out(monkeypatch):
+    real = serganova._steps
+
+    def two_units(lam, theta, indices, p, d=1):  # theta_j gains 2d where lambda_i loses d
+        for a, b in indices:
+            before = lam[a]
+            real(lam, theta, ((a, b),), p, d)
+            if lam[a] != before:
+                theta[b] += d
+
+    monkeypatch.setattr(serganova, "_steps", two_units)
+    kinds = left_out_failures()
+    assert {"inverse_forward_roundtrip", "sum_conservation_v1", "congruence_memory_v2"} <= kinds
+
+
 def test_backends_take_a_step_list_that_is_not_an_extension():
     # a reversed column order, passed as an iterator, and three (1, 1) steps
     # ahead of it: every backend runs them and gives the same reports
@@ -489,6 +533,13 @@ def test_scans_refuse_a_step_that_is_not_an_excess_pair(steps):
         ((2, 3, -2, -1, 1), "modulus must be nonnegative, got -2"),
         ((0, 2, 2, 1, 0), "box requires lo <= hi, got 1:0"),
         ((2, 3, 2, 1, 0), "box requires lo <= hi, got 1:0"),
+        # a float, a bool or a str is refused before C parses an argument
+        ((2.0, 3, 2, -1, 1), "rank entries must be integers, got (2.0, 3)"),
+        ((2, 3, 2.0, -1, 1), "modulus must be an integer, got 2.0"),
+        ((2, 3, 2, -1, 1.0), "box bounds must be integers, got (-1, 1.0)"),
+        ((2, 3, 2, True, 1), "box bounds must be integers, got (True, 1)"),
+        ((2, 3, 2, -1.5, 1.5), "box bounds must be integers, got (-1.5, 1.5)"),
+        ((2, 3, 2, "-1", 1), "box bounds must be integers, got ('-1', 1)"),
     ),
 )
 def test_scans_refuse_a_rank_modulus_or_box_as_oracle_does(box, message):
